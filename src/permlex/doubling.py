@@ -24,6 +24,7 @@ directly on the doubled word.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,12 +58,14 @@ MAP_NAMES = ("delta", "delta-l", "delta-r", "delta-m")
 
 
 def _doubled_view(source: WordSource) -> WordSource:
-    """One shared doubled wrapper per source, so rank caches accumulate."""
-    cached = getattr(source, "_doubled_twin", None)
-    if cached is None:
-        cached = double(source)
-        source._doubled_twin = cached
-    return cached
+    """One shared doubled wrapper per source, so rank caches accumulate.
+
+    The wrapper reaches its inner word through a weak proxy: the source owns
+    the wrapper, and a strong back reference would form a cycle.
+    """
+    if source._doubled_twin is None:
+        source._doubled_twin = double(weakref.proxy(source))
+    return source._doubled_twin
 
 
 def _class_indices(

@@ -202,7 +202,8 @@ def formula_for(source: WordSource, n: int) -> int | None:
 
     Complements are transparent (complementing a binary word preserves its
     pattern counts).  For doubled Sturmian words the formula is only claimed
-    from twice the inner word's recurrence bound, a conservative onset.
+    from twice the inner word's recurrence bound, a conservative onset; the
+    inner source keeps its ``(k, onset)`` so a sweep certifies it once.
     """
     while isinstance(source, ComplementSource):
         source = source.inner
@@ -217,8 +218,10 @@ def formula_for(source: WordSource, n: int) -> int | None:
         while isinstance(inner, ComplementSource):
             inner = inner.inner
         if isinstance(inner, SturmianSource):
-            k = run_bounds(inner).k
-            onset = 2 * recurrence_bound(inner, k)
+            if inner._doubled_formula is None:
+                k = run_bounds(inner).k
+                inner._doubled_formula = (k, 2 * recurrence_bound(inner, k))
+            k, onset = inner._doubled_formula
             return doubled_sturmian_tau(n, k) if n >= onset else None
         if isinstance(inner, MorphicSource) and inner.spec_string() == "thue-morse":
             return doubled_tm_tau(n) if n >= 17 else None

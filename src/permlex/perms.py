@@ -203,25 +203,30 @@ class PermSet:
 def _pattern_rows(
     source: WordSource,
     n: int,
-    window: int,
+    lo: int,
+    hi: int,
     parity: str | None,
     max_horizon: int,
 ) -> np.ndarray:
-    ranked = RankedWord.of(source, max_horizon)
-    global_ranks = ranked.ranks(window + n)
-    if parity is None:
-        starts = np.arange(window)
-    elif parity == "even":
-        starts = np.arange(0, window, 2)
-    elif parity == "odd":
-        starts = np.arange(1, window, 2)
-    else:
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+    """Patterns of the windows starting in ``[lo, hi)`` (of one parity)."""
+    global_ranks = RankedWord.of(source, max_horizon).ranks(hi + n)
+    starts = np.arange(lo, hi)
+    if parity is not None:
+        if parity not in ("even", "odd"):
+            raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+        starts = starts[starts % 2 == (parity == "odd")]
     return window_patterns(global_ranks, starts, n)
 
 
 def _unique_patterns(rows: np.ndarray) -> frozenset[Perm]:
-    return frozenset(map(tuple, np.unique(rows, axis=0).tolist()))
+    # One opaque key per row, in the narrowest dtype that holds 1..n: a 1-D
+    # unique sorts the keys with memcmp, far cheaper than np.unique(axis=0),
+    # and only the distinct rows become tuples.
+    n = rows.shape[1]
+    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(n))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    distinct = np.unique(keys).view(rows.dtype).reshape(-1, n)
+    return frozenset(map(tuple, distinct.tolist()))
 
 
 def _enumerate(
@@ -238,23 +243,25 @@ def _enumerate(
         raise DomainError("scan window must be at least 2")
     spec = source.spec_string()
     window = scan_window
-    previous: frozenset[Perm] | None = None
+    members = _unique_patterns(
+        _pattern_rows(source, n, 0, window, parity, max_horizon)
+    )
+    if not saturate:
+        return PermSet(spec, n, members, window, saturated=False)
     while True:
+        # Each round doubles the scan but computes patterns only for the new
+        # starts [window, 2 * window).  Windows of a longer prefix are a
+        # superset of those of a shorter one, so an unchanged count across
+        # one doubling means an unchanged set.
         try:
-            rows = _pattern_rows(source, n, window, parity, max_horizon)
+            fresh = _pattern_rows(source, n, window, 2 * window, parity, max_horizon)
         except (LimitExceeded, PrefixTooShort):
-            if previous is None:
-                raise
-            return PermSet(spec, n, previous, window // 2, saturated=False)
-        members = _unique_patterns(rows)
-        if not saturate:
             return PermSet(spec, n, members, window, saturated=False)
-        # Windows of a fixed prefix are a superset of those of a shorter one,
-        # so an unchanged count across one doubling means an unchanged set.
-        if previous is not None and len(members) == len(previous):
-            return PermSet(spec, n, members, window, saturated=True)
-        previous = members
+        grown = members | _unique_patterns(fresh)
         window *= 2
+        if len(grown) == len(members):
+            return PermSet(spec, n, grown, window, saturated=True)
+        members = grown
 
 
 def perm_set(

@@ -11,13 +11,18 @@ For an aperiodic word every pair of shifts eventually separates, so
 termination is a matter of lookahead; :class:`RankedWord` grows the horizon
 geometrically and gives up only past a generous multiple of the requested
 span (which would indicate a periodic or pathologically repetitive word).
+It keeps one rank table per word: ranks of the first P shifts already give
+the order of every shorter prefix of positions, so a request no larger than
+the table is a slice, and a larger one at least doubles the table.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from .errors import HorizonExhausted, PrefixTooShort
+from .errors import HorizonExhausted, PermlexError, PrefixTooShort
 from .words import WordSource
 
 #: Default lookahead for scalar shift comparisons; bulk ranking scales its
@@ -70,11 +75,12 @@ def shift_ranks(
 
 
 class RankedWord:
-    """Cache of global shift ranks for one word source.
+    """One growing table of global shift ranks for a word source.
 
-    Ranks only ever grow: asking for more positions recomputes the whole
-    table (cheap, a few lexsorts) and keeps it for later callers.  Use
-    :meth:`of` to share one cache per source.
+    A table that ranks P shifts serves every request for at most P.  A larger
+    request ranks at least twice the positions already held, so a sweep over
+    growing lengths ranks O(log n) times rather than once per request.  Use
+    :meth:`of` to share one table per source and horizon.
     """
 
     def __init__(self, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON):
@@ -87,9 +93,11 @@ class RankedWord:
     def of(
         cls, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON
     ) -> "RankedWord":
-        cached = getattr(source, "_ranker", None)
+        """The table owned by ``source``; it sees its source through a weak
+        proxy, so the pair forms no reference cycle."""
+        cached = source._ranker
         if cached is None or cached.max_horizon != max_horizon:
-            cached = cls(source, max_horizon)
+            cached = cls(weakref.proxy(source), max_horizon)
             source._ranker = cached
         return cached
 
@@ -100,8 +108,30 @@ class RankedWord:
         # Aperiodic binary words separate positions a < b < P well within a
         # small multiple of P letters, so start past the configured horizon
         # and double a few times before declaring the word periodic-looking.
-        horizon = max(self.max_horizon, 2 * positions)
+        first = max(self.max_horizon, 2 * positions)
         cap = max(16 * positions, 4 * self.max_horizon)
+        limit = first
+        while limit < cap:
+            limit *= 2
+        # Grow geometrically, but only as far as the source supplies letters
+        # for a full horizon, and with no more lookahead than the exact
+        # request may use: the larger request then cannot succeed where the
+        # exact one fails, and the exact request alone decides errors and the
+        # behaviour of finite words.
+        available = self.source.max_available()
+        grown = min(2 * self._count, available - self.max_horizon, available // 3)
+        if grown > positions:
+            try:
+                self._rank(grown, min(limit, available - grown))
+            except PermlexError:
+                self._rank(positions, limit)
+        else:
+            self._rank(positions, limit)
+        return self._ranks[:positions]
+
+    def _rank(self, positions: int, limit: int) -> None:
+        """Rank ``positions`` shifts, doubling the horizon up to ``limit``."""
+        horizon = min(max(self.max_horizon, 2 * positions), limit)
         while True:
             available = self.source.max_available()
             need = positions + horizon
@@ -119,18 +149,18 @@ class RankedWord:
                 got.setflags(write=False)
                 self._ranks = got
                 self._count = positions
-                return self._ranks
+                return
             if clamped:
                 raise PrefixTooShort(
                     f"shifts of {self.source.spec_string()} did not separate "
                     f"before the word ran out ({available} letters)"
                 )
-            if horizon >= cap:
+            if horizon >= limit:
                 raise HorizonExhausted(
                     f"shifts of {self.source.spec_string()} agree beyond "
                     f"{horizon} letters; the word looks periodic"
                 )
-            horizon *= 2
+            horizon = min(2 * horizon, limit)
 
 
 def window_patterns(
@@ -138,10 +168,12 @@ def window_patterns(
 ) -> np.ndarray:
     """Rank patterns (rows of values 1..n) of the length-``n`` windows at ``starts``.
 
-    ``global_ranks`` must cover every index in ``starts + n - 1``.
+    ``global_ranks`` must cover every index in ``starts + n - 1`` and be
+    pairwise distinct there, as :meth:`RankedWord.ranks` guarantees; with no
+    ties to break, the sort need not be stable.
     """
     windows = np.lib.stride_tricks.sliding_window_view(global_ranks, n)[starts]
-    order = np.argsort(windows, axis=1, kind="stable")
+    order = np.argsort(windows, axis=1)
     patterns = np.empty(order.shape, dtype=np.int64)
     rows = np.arange(order.shape[0])[:, None]
     patterns[rows, order] = np.arange(1, n + 1)[None, :]

@@ -53,6 +53,11 @@ class WordSource:
         self.hard_limit = int(hard_limit)
         self._prefix = np.empty(0, dtype=np.int8)
         self._prefix.setflags(write=False)
+        # Caches owned by the source.  Helpers keep only weak references
+        # back to it, so a dropped source is freed without the cycle collector.
+        self._ranker = None            # ranking.RankedWord.of
+        self._doubled_twin = None      # doubling._doubled_view
+        self._doubled_formula = None   # formulas.formula_for: (k, onset)
 
     # -- subclass interface -------------------------------------------------
 

@@ -5,6 +5,9 @@ pattern and run-class tallies alone; every test here checks that against the
 doubled word itself, where the same object can be read off directly.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from permlex import (
@@ -22,7 +25,9 @@ from permlex import (
     delta_right,
     double,
     doubling_order_case,
+    fibonacci_source,
     left_restrict_k,
+    perm_set,
     perm_set_parity,
     subpermutation,
     thue_morse_source,
@@ -226,3 +231,23 @@ def test_bounds_need_saturated_enumerations():
     capped = thue_morse_source(hard_limit=600)
     with pytest.raises(Unsaturated):
         check_bounds(capped, 9, scan_window=256)
+
+
+# -- cache ownership ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [thue_morse_source, fibonacci_source])
+def test_dropped_source_is_freed_without_the_cycle_collector(build):
+    # Rank tables and the doubled twin are owned by the source and point back
+    # to it only weakly, so reference counting alone frees all of them.
+    gc.disable()
+    try:
+        source = build()
+        perm_set(source, 8)
+        audit_map(source, "delta", 9)
+        perm_set(source._doubled_twin, 12)
+        refs = [weakref.ref(source), weakref.ref(source._doubled_twin)]
+        del source
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -27,10 +27,13 @@ from permlex import (
     perm_set_parity,
     right_restrict,
     subpermutation,
+    thue_morse_source,
 )
+from permlex import ranking
 
 from bruteforce import (
     naive_cmp,
+    naive_double,
     naive_fibonacci,
     naive_left,
     naive_perm_set,
@@ -214,3 +217,93 @@ def test_perm_set_reports_unsaturated_on_short_words():
     ps = perm_set(capped, 40, scan_window=64)
     assert not ps.saturated
     assert ps.count > 0
+
+
+# -- incremental enumeration against the oracle ---------------------------------
+
+_ORACLE_WORDS = {
+    "tm": naive_thue_morse,
+    "fib": naive_fibonacci,
+    "dtm": lambda m: naive_double(naive_thue_morse((m + 1) // 2))[:m],
+    "dfib": lambda m: naive_double(naive_fibonacci((m + 1) // 2))[:m],
+}
+
+
+#: Small scans leave most windows with a pattern no other window has, so a
+#: skipped start shows in the member set or in the reported scan window.
+_SCAN_WINDOWS = st.one_of(
+    st.integers(min_value=2, max_value=16), st.integers(min_value=2, max_value=600)
+)
+
+
+def _oracle_text(name, scan_window):
+    # Shifts starting below N of these words separate within a few N letters.
+    return _ORACLE_WORDS[name](8 * scan_window + 256)
+
+
+def _check_against_naive(ps, scan_window, saturate, naive):
+    """``naive(w)`` is the oracle's pattern set over the starts below w."""
+    window = scan_window
+    if saturate:
+        # The scan doubles until one doubling adds no pattern.
+        while len(naive(2 * window)) != len(naive(window)):
+            window *= 2
+        window *= 2
+    assert (ps.scan_window, ps.saturated) == (window, saturate)
+    assert ps.members == naive(window)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_ORACLE_WORDS)),
+    n=st.integers(min_value=1, max_value=24),
+    scan_window=_SCAN_WINDOWS,
+    saturate=st.booleans(),
+)
+def test_perm_set_matches_naive(tm, fib, dtm, dfib, name, n, scan_window, saturate):
+    source = {"tm": tm, "fib": fib, "dtm": dtm, "dfib": dfib}[name]
+    ps = perm_set(source, n, scan_window=scan_window, saturate=saturate)
+    text = _oracle_text(name, ps.scan_window)
+    _check_against_naive(
+        ps, scan_window, saturate, lambda w: naive_perm_set(text, n, w)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(["dtm", "dfib"]),
+    n=st.integers(min_value=1, max_value=24),
+    scan_window=_SCAN_WINDOWS,
+    saturate=st.booleans(),
+    parity=st.sampled_from(["even", "odd"]),
+)
+def test_perm_set_parity_matches_naive(
+    dtm, dfib, name, n, scan_window, saturate, parity
+):
+    source = {"dtm": dtm, "dfib": dfib}[name]
+    ps = perm_set_parity(source, n, parity, scan_window=scan_window, saturate=saturate)
+    text = _oracle_text(name, ps.scan_window)
+    first = 0 if parity == "even" else 1
+    _check_against_naive(
+        ps,
+        scan_window,
+        saturate,
+        lambda w: {naive_subperm(text, a, n) for a in range(first, w, 2)},
+    )
+
+
+def test_sweep_ranks_each_word_a_few_times(monkeypatch):
+    # One growing rank table serves the whole sweep: it is rebuilt only when
+    # a request outgrows it, and then at least doubles.
+    calls = []
+    counted = ranking.shift_ranks
+
+    def counting(*args):
+        calls.append(args[1])
+        return counted(*args)
+
+    monkeypatch.setattr(ranking, "shift_ranks", counting)
+    source = double(thue_morse_source())
+    for n in range(2, 65):
+        assert perm_set(source, n).saturated
+    assert len(calls) <= 8

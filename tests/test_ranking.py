@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlex import (
     HorizonExhausted,
     MorphicSource,
     PrefixTooShort,
     RankedWord,
+    double,
+    fibonacci_source,
     shift_ranks,
     thue_morse_source,
     window_patterns,
@@ -87,3 +91,34 @@ def test_window_patterns_match_naive(tm, n):
     text = naive_thue_morse(4000)
     for row, a in zip(rows, starts):
         assert tuple(int(v) for v in row) == naive_subperm(text, int(a), n)
+
+
+def _doubled_thue_morse():
+    return double(thue_morse_source())
+
+
+def _grown_then_fresh(build, requests, positions):
+    ranked = RankedWord(build())
+    for p in requests:
+        ranked.ranks(p)
+    fresh = RankedWord(build()).ranks(positions)
+    return ranked, ranked.ranks(positions), fresh
+
+
+def test_ranked_word_grows_its_table_geometrically():
+    ranked, got, fresh = _grown_then_fresh(thue_morse_source, [1000, 1500], 1200)
+    assert ranked._count == 2000
+    assert got.size == 1200
+    assert _dense(got) == _dense(fresh)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([thue_morse_source, fibonacci_source, _doubled_thue_morse]),
+    st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=3000),
+)
+def test_grown_table_is_order_isomorphic_to_fresh(build, requests, positions):
+    _, got, fresh = _grown_then_fresh(build, requests, positions)
+    assert got.size == positions
+    assert _dense(got) == _dense(fresh)
