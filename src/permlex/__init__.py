@@ -15,7 +15,6 @@ from .errors import (
     LengthMismatch,
     LengthTooSmall,
     LimitExceeded,
-    NotSaturated,
     PermlexError,
     PrefixTooShort,
     Unsaturated,
@@ -33,7 +32,6 @@ from .words import (
     complement,
     double,
     explicit_source,
-    extend_prefix,
     factors,
     fibonacci_source,
     parse_word_spec,

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .doubling import audit_map, delta
+from .doubling import MAP_NAMES, audit_map, delta
 from .errors import PermlexError
 from .formulas import formula_for
 from .perms import DEFAULT_SCAN_WINDOW, format_perm, perm_set, subpermutation
@@ -83,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="injectivity/surjectivity audit of one map")
     add_common(audit, scan=True)
-    audit.add_argument("--map", required=True,
-                       choices=("delta", "delta-l", "delta-r", "delta-m"))
+    audit.add_argument("--map", required=True, choices=MAP_NAMES)
     audit.add_argument("--n", type=int, required=True, help="half-length")
 
     verify = sub.add_parser("verify", help="run a verification suite")
@@ -207,12 +206,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scan = args.scan_window
-    if scan is None:
-        scan = _env_int("PERMLEX_SCAN_WINDOW", DEFAULT_SCAN_WINDOW)
-    horizon = args.max_horizon
-    if horizon is None:
-        horizon = _env_int("PERMLEX_MAX_HORIZON", DEFAULT_MAX_HORIZON)
+    scan, horizon = _resolve_scan(args)
     results = run_suite(args.suite, args.n_max, scan, horizon)
     lines = [r.line() for r in results]
     failed = sum(1 for r in results if not r.ok)

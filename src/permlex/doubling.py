@@ -16,16 +16,19 @@ with the two values swapped when the letter is 1.  ``core`` is the pattern of
 the bare window, i.e. the k-fold left restriction of the window extended k
 positions right.
 
-The scalar entry points (``class_profile``, ``delta`` and friends) serve
-single windows; ``audit_map``/``verify_image_formulas`` run the same formula
-vectorised over every window of a scan and compare against patterns computed
-directly on the doubled word.
+One routine evaluates the formula on any number of windows.  The scalar
+entry points (``class_profile``, ``delta`` and friends) call it on a single
+window; ``audit_map``/``verify_image_formulas`` call it on every window of a
+scan and compare against patterns computed directly on the doubled word.
+``MAPS`` defines the four transfer maps by the entries each trims from the
+doubled window.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,12 +38,16 @@ from .perms import (
     DEFAULT_SCAN_WINDOW,
     LESS,
     Perm,
+    _distinct_rows,
+    _row_keys,
+    _unique_patterns,
     compare_shifts,
+    is_permutation,
     left_restrict,
-    left_restrict_k,
     middle_restrict,
     perm_set,
     perm_set_parity,
+    restrict_rows,
     right_restrict,
     subpermutation,
 )
@@ -54,7 +61,10 @@ from .words import (
     run_bounds,
 )
 
-MAP_NAMES = ("delta", "delta-l", "delta-r", "delta-m")
+#: The four transfer maps: how many entries each trims from the front and
+#: the back of the doubled window ``[2a, 2a+2n)``.
+MAPS = {"delta": (0, 0), "delta-l": (0, 1), "delta-r": (1, 0), "delta-m": (1, 1)}
+MAP_NAMES = tuple(MAPS)
 
 
 def _doubled_view(source: WordSource) -> WordSource:
@@ -129,6 +139,27 @@ def _bounds_covering(source: WordSource, extent: int) -> RunBounds:
     )
 
 
+def _images(
+    core: np.ndarray, classes: np.ndarray, gamma: np.ndarray, letters: np.ndarray
+) -> np.ndarray:
+    """The doubling formula over ``W`` windows at once.
+
+    ``core``, ``classes`` and ``letters`` are ``(W, n)``: each window's core
+    pattern, and the run class and letter (0 or 1) of each of its positions.
+    ``gamma`` is ``(W, k0 + k1)``, each window's class sizes.  Returns the
+    ``(W, 2n)`` patterns of the doubled windows.
+    """
+    rows = np.arange(core.shape[0])[:, None]
+    through = np.cumsum(gamma, axis=1)[rows, classes] + core
+    size = gamma[rows, classes]
+    # A letter 1 swaps the two copies: the even one moves up by the class size.
+    swap = size * letters
+    images = np.empty((core.shape[0], 2 * core.shape[1]), dtype=np.int64)
+    images[:, 0::2] = through - size + swap
+    images[:, 1::2] = through - swap
+    return images
+
+
 # -- scalar path -----------------------------------------------------------------
 
 
@@ -154,18 +185,10 @@ class ClassProfile:
         return self.k0 + self.k1
 
 
-def class_profile(
-    source: WordSource,
-    a: int,
-    n: int,
-    bounds: RunBounds | None = None,
-) -> ClassProfile:
-    """Class data for the window ``[a, a+n)``.
-
-    Every class must be inhabited; a window too short to meet all classes
-    (shorter than the word's recurrence bound for length-k factors) raises
-    ``ClassMissing``.
-    """
+def _window_classes(
+    source: WordSource, a: int, n: int, bounds: RunBounds | None
+) -> tuple[ClassProfile, np.ndarray, np.ndarray]:
+    """``class_profile`` plus its classes and class sizes as arrays."""
     if a < 0 or n < 1:
         raise DomainError("window start must be >= 0 and length >= 1")
     if bounds is None:
@@ -179,15 +202,31 @@ def class_profile(
             f"window [{a}, {a + n}) of {source.spec_string()} lacks run "
             f"class(es) {missing}"
         )
-    return ClassProfile(
+    profile = ClassProfile(
         k0=bounds.k0,
         k1=bounds.k1,
         start=a,
         length=n,
-        classes=tuple(int(c) for c in classes),
-        gamma=tuple(int(g) for g in gamma),
-        partial_sums=tuple(int(s) for s in np.cumsum(gamma)),
+        classes=tuple(classes.tolist()),
+        gamma=tuple(gamma.tolist()),
+        partial_sums=tuple(np.cumsum(gamma).tolist()),
     )
+    return profile, classes, gamma
+
+
+def class_profile(
+    source: WordSource,
+    a: int,
+    n: int,
+    bounds: RunBounds | None = None,
+) -> ClassProfile:
+    """Class data for the window ``[a, a+n)``.
+
+    Every class must be inhabited; a window too short to meet all classes
+    (shorter than the word's recurrence bound for length-k factors) raises
+    ``ClassMissing``.
+    """
+    return _window_classes(source, a, n, bounds)[0]
 
 
 @dataclass(frozen=True)
@@ -213,22 +252,12 @@ def delta(
     The result's ``image`` equals the doubled word's pattern at
     ``[2a, 2a+2n)`` but is computed without ever ranking doubled shifts.
     """
-    profile = class_profile(source, a, n)
+    profile, classes, gamma = _window_classes(source, a, n, None)
     base = subpermutation(source, a, n + profile.k, max_horizon)
-    core = left_restrict_k(base, profile.k)
-    letters = source.letters(a + n)
-    image = [0] * (2 * n)
-    for i in range(n):
-        j = profile.classes[i]
-        below = profile.partial_sums[j - 1] if j > 0 else 0
-        through = profile.partial_sums[j]
-        if letters[a + i] == 0:
-            image[2 * i] = core[i] + below
-            image[2 * i + 1] = core[i] + through
-        else:
-            image[2 * i] = core[i] + through
-            image[2 * i + 1] = core[i] + below
-    if sorted(image) != list(range(1, 2 * n + 1)):
+    core = restrict_rows(np.array([base]), 0, profile.k)
+    letters = source.letters(a + n)[a:]
+    image = tuple(_images(core, classes[None], gamma[None], letters[None])[0].tolist())
+    if not is_permutation(image):
         raise AssertionError(
             f"doubling image of window [{a}, {a + n}) is not a permutation; "
             "this is a bug"
@@ -237,9 +266,9 @@ def delta(
         start=a,
         half_length=n,
         base=base,
-        core=core,
+        core=tuple(core[0].tolist()),
         profile=profile,
-        image=tuple(image),
+        image=image,
     )
 
 
@@ -331,7 +360,7 @@ def doubling_order_case(
 @dataclass(frozen=True)
 class _BulkWindows:
     """Per-window data for every start in ``[0, window)``: patterns, classes,
-    formula images, and directly computed doubled patterns."""
+    formula images, and the doubled word's ranks they were checked against."""
 
     n: int
     bounds: RunBounds
@@ -342,17 +371,7 @@ class _BulkWindows:
     classes: np.ndarray         # (W, n)
     class_complete: np.ndarray  # (W,) every class inhabited
     images: np.ndarray          # (W, 2n) via the class formula
-    direct: np.ndarray          # (W, 2n) via ranking the doubled word
-
-
-def _restrict_rows_left(rows: np.ndarray) -> np.ndarray:
-    kept = rows[:, :-1]
-    return kept - (kept > rows[:, -1:])
-
-
-def _restrict_rows_right(rows: np.ndarray) -> np.ndarray:
-    kept = rows[:, 1:]
-    return kept - (kept > rows[:, :1])
+    doubled_ranks: np.ndarray   # shift ranks of the doubled word over the scan
 
 
 def _bulk_windows(
@@ -371,7 +390,7 @@ def _bulk_windows(
     starts = np.arange(scan_window)
     base_ranks = RankedWord.of(source, max_horizon).ranks(scan_window + n + k)
     base_patterns = window_patterns(base_ranks, starts, n + k)
-    core_patterns = window_patterns(base_ranks, starts, n)
+    core_patterns = restrict_rows(base_patterns, 0, k)
 
     position_classes = _class_indices(letters, bounds.k0, bounds.k1, scan_window + n)
     classes = np.lib.stride_tricks.sliding_window_view(position_classes, n)[
@@ -383,21 +402,11 @@ def _bulk_windows(
         [np.zeros(num_classes, dtype=np.int64), np.cumsum(onehot, axis=0)]
     )
     gamma = cumulative[n : scan_window + n] - cumulative[:scan_window]
-    through = np.cumsum(gamma, axis=1)
-    below = through - gamma
-    through_at = np.take_along_axis(through, classes, axis=1)
-    below_at = np.take_along_axis(below, classes, axis=1)
-    ascending = (
-        np.lib.stride_tricks.sliding_window_view(letters, n)[:scan_window] == 0
-    )
-    images = np.empty((scan_window, 2 * n), dtype=np.int64)
-    images[:, 0::2] = core_patterns + np.where(ascending, below_at, through_at)
-    images[:, 1::2] = core_patterns + np.where(ascending, through_at, below_at)
-
-    doubled = _doubled_view(source)
-    doubled_ranks = RankedWord.of(doubled, max_horizon).ranks(2 * (scan_window + n))
-    direct = window_patterns(doubled_ranks, 2 * starts, 2 * n)
-    if not np.array_equal(images, direct):
+    window_letters = np.lib.stride_tricks.sliding_window_view(letters, n)[:scan_window]
+    images = _images(core_patterns, classes, gamma, window_letters)
+    doubled = RankedWord.of(_doubled_view(source), max_horizon)
+    doubled_ranks = doubled.ranks(2 * (scan_window + n))
+    if not np.array_equal(images, window_patterns(doubled_ranks, 2 * starts, 2 * n)):
         raise AssertionError(
             "doubling image formula disagrees with directly ranked doubled "
             "windows; this is a bug"
@@ -412,7 +421,7 @@ def _bulk_windows(
         classes=classes,
         class_complete=(gamma > 0).all(axis=1),
         images=images,
-        direct=direct,
+        doubled_ranks=doubled_ranks,
     )
 
 
@@ -441,25 +450,13 @@ def verify_image_formulas(
     ranked directly on the doubled word, for every window start in
     ``[0, scan_window)``."""
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
-    doubled = _doubled_view(source)
-    doubled_ranks = RankedWord.of(doubled, max_horizon).ranks(2 * (scan_window + n))
-    starts = np.arange(scan_window)
-    direct = {
-        "delta": bulk.direct,
-        "delta-l": window_patterns(doubled_ranks, 2 * starts, 2 * n - 1),
-        "delta-r": window_patterns(doubled_ranks, 2 * starts + 1, 2 * n - 1),
-        "delta-m": window_patterns(doubled_ranks, 2 * starts + 1, 2 * n - 2),
-    }
-    derived = {
-        "delta": bulk.images,
-        "delta-l": _restrict_rows_left(bulk.images),
-        "delta-r": _restrict_rows_right(bulk.images),
-        "delta-m": _restrict_rows_left(_restrict_rows_right(bulk.images)),
-    }
-    mismatches = {
-        name: int((derived[name] != direct[name]).any(axis=1).sum())
-        for name in MAP_NAMES
-    }
+    starts = 2 * np.arange(scan_window)
+    mismatches = {}
+    for name, (lead, trail) in MAPS.items():
+        derived = restrict_rows(bulk.images, lead, trail)
+        width = 2 * n - lead - trail
+        direct = window_patterns(bulk.doubled_ranks, starts + lead, width)
+        mismatches[name] = int((derived != direct).any(axis=1).sum())
     return ImageFormulaCheck(
         source_spec=source.spec_string(),
         half_length=n,
@@ -522,16 +519,27 @@ class AuditReport:
         return data
 
 
-def _image_rows_for_map(bulk: _BulkWindows, map_name: str) -> np.ndarray:
-    if map_name == "delta":
-        return bulk.images
-    if map_name == "delta-l":
-        return _restrict_rows_left(bulk.images)
-    if map_name == "delta-r":
-        return _restrict_rows_right(bulk.images)
-    if map_name == "delta-m":
-        return _restrict_rows_left(_restrict_rows_right(bulk.images))
-    raise DomainError(f"unknown map {map_name!r}; expected one of {MAP_NAMES}")
+def _collision(bulk: _BulkWindows, a: int, b: int) -> CollisionRecord:
+    n, k = bulk.n, bulk.bounds.k
+    form_a, form_b = bulk.letters[a : a + n + k - 1], bulk.letters[b : b + n + k - 1]
+    return CollisionRecord(
+        start_a=a,
+        start_b=b,
+        pair_type=complementary_pair(
+            tuple(bulk.base_patterns[a].tolist()), tuple(bulk.base_patterns[b].tolist())
+        ),
+        equal_factors=bool(np.array_equal(form_a[:n], form_b[:n])),
+        equal_forms=bool(np.array_equal(form_a, form_b)),
+    )
+
+
+def _groups(rows: np.ndarray) -> list[np.ndarray]:
+    """Ascending indices of the rows in each class of equal rows that has at
+    least two members."""
+    _, group_of, sizes = np.unique(
+        _row_keys(rows), return_inverse=True, return_counts=True
+    )
+    return [np.flatnonzero(group_of == g) for g in np.flatnonzero(sizes > 1)]
 
 
 def audit_map(
@@ -542,123 +550,61 @@ def audit_map(
     max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> AuditReport:
     """Collision and surjectivity audit of one transfer map at half-length ``n``."""
-    if map_name not in MAP_NAMES:
+    if map_name not in MAPS:
         raise DomainError(f"unknown map {map_name!r}; expected one of {MAP_NAMES}")
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
-    k = bulk.bounds.k
-    image_rows = _image_rows_for_map(bulk, map_name)
+    lead, trail = MAPS[map_name]
+    image_rows = restrict_rows(bulk.images, lead, trail)
     image_length = image_rows.shape[1]
-
-    # Representative start for each distinct domain pattern, and the image
-    # each pattern maps to.  The image must depend on the pattern alone.
-    first_start_of: dict[bytes, int] = {}
-    image_of: dict[bytes, bytes] = {}
-    for a in range(bulk.window):
-        key = bulk.base_patterns[a].tobytes()
-        img = image_rows[a].tobytes()
-        if key not in first_start_of:
-            first_start_of[key] = a
-            image_of[key] = img
-        elif image_of[key] != img:
-            raise AssertionError(
-                "one domain pattern produced two different images; this is a bug"
-            )
-
-    by_image: dict[bytes, list[int]] = {}
-    for key, a in first_start_of.items():
-        by_image.setdefault(image_of[key], []).append(a)
-
-    collisions: list[CollisionRecord] = []
-    for starts in by_image.values():
-        if len(starts) < 2:
-            continue
-        starts.sort()
-        for i in range(len(starts)):
-            for j in range(i + 1, len(starts)):
-                a, b = starts[i], starts[j]
-                pattern_a = tuple(bulk.base_patterns[a].tolist())
-                pattern_b = tuple(bulk.base_patterns[b].tolist())
-                collisions.append(
-                    CollisionRecord(
-                        start_a=a,
-                        start_b=b,
-                        pair_type=complementary_pair(pattern_a, pattern_b),
-                        equal_factors=bool(
-                            np.array_equal(
-                                bulk.letters[a : a + n], bulk.letters[b : b + n]
-                            )
-                        ),
-                        equal_forms=bool(
-                            np.array_equal(
-                                bulk.letters[a : a + n + k - 1],
-                                bulk.letters[b : b + n + k - 1],
-                            )
-                        ),
-                    )
-                )
-    collisions.sort(key=lambda c: (c.start_a, c.start_b))
-
-    parity = "even" if map_name in ("delta", "delta-l") else "odd"
     target = perm_set_parity(
         _doubled_view(source),
         image_length,
-        parity,
+        "odd" if lead else "even",
         scan_window=2 * bulk.window,
         saturate=False,
         max_horizon=max_horizon,
     )
-    image_set = frozenset(
-        tuple(image_rows[a].tolist()) for a in first_start_of.values()
-    )
-    surjective = image_set == target.members
 
-    # Structural checks on the full doubling images.
-    full_images = {
-        tuple(bulk.images[a].tolist()) for a in first_start_of.values()
-    }
-    left_faithful = (
-        len({left_restrict(p) for p in full_images}) == len(full_images)
+    # First start of each distinct domain pattern.  The image must depend on
+    # the pattern alone.
+    reps = np.sort(np.unique(_row_keys(bulk.base_patterns), return_index=True)[1])
+    if len(_distinct_rows(np.hstack([bulk.base_patterns, image_rows]))) != reps.size:
+        raise AssertionError(
+            "one domain pattern produced two different images; this is a bug"
+        )
+    images = image_rows[reps]
+    collisions = [
+        _collision(bulk, a, b)
+        for group in _groups(images)
+        for a, b in combinations(reps[group].tolist(), 2)
+    ]
+    collisions.sort(key=lambda c: (c.start_a, c.start_b))
+    surjective = _unique_patterns(images) == target.members
+
+    # Structural checks on the distinct full doubling images.
+    full = _distinct_rows(bulk.images[reps])
+    left_faithful = len(_distinct_rows(restrict_rows(full, 0, 1))) == len(full)
+    right_faithful = len(_distinct_rows(restrict_rows(full, 1, 0))) == len(full)
+    no_type1 = not any(
+        complementary_pair(tuple(full[i].tolist()), tuple(full[j].tolist())) == 1
+        for group in _groups(full[:, :-1] > full[:, 1:])
+        for i, j in combinations(group, 2)
     )
-    right_faithful = (
-        len({right_restrict(p) for p in full_images}) == len(full_images)
-    )
-    no_type1 = True
-    by_form: dict[tuple[bool, ...], list[Perm]] = {}
-    for p in full_images:
-        shape = tuple(p[i] < p[i + 1] for i in range(len(p) - 1))
-        by_form.setdefault(shape, []).append(p)
-    for group in by_form.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if complementary_pair(group[i], group[j]) == 1:
-                    no_type1 = False
 
     # Same-core windows whose final positions sit in different classes: the
     # classes must be adjacent and the last two image entries must differ.
-    gap_groups: dict[bytes, dict[tuple[int, int, int], int]] = {}
-    for a in range(bulk.window):
-        if not bulk.class_complete[a]:
-            continue
-        signature = (
-            int(bulk.classes[a, n - 1]),
-            int(bulk.images[a, 2 * n - 2]),
-            int(bulk.images[a, 2 * n - 1]),
-        )
-        gap_groups.setdefault(bulk.core_patterns[a].tobytes(), {}).setdefault(
-            signature, a
-        )
+    # Rows are (core, class of the last position, last two image entries).
+    tails = np.hstack(
+        [bulk.core_patterns, bulk.classes[:, n - 1 :], bulk.images[:, 2 * n - 2 :]]
+    )
+    tails = _distinct_rows(tails[bulk.class_complete])
     gap_checked = 0
     gap_violations = 0
-    for signatures in gap_groups.values():
-        keys = list(signatures)
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                (c1, x1, y1), (c2, x2, y2) = keys[i], keys[j]
-                if c1 == c2:
-                    continue
+    for group in _groups(tails[:, :n]):
+        for (c1, x1, y1), (c2, x2, y2) in combinations(tails[group, n:].tolist(), 2):
+            if c1 != c2:
                 gap_checked += 1
-                if abs(c1 - c2) != 1 or x1 == x2 or y1 == y2:
-                    gap_violations += 1
+                gap_violations += abs(c1 - c2) != 1 or x1 == x2 or y1 == y2
 
     return AuditReport(
         source_spec=source.spec_string(),
@@ -668,8 +614,8 @@ def audit_map(
         k0=bulk.bounds.k0,
         k1=bulk.bounds.k1,
         scan_window=bulk.window,
-        domain_size=len(first_start_of),
-        image_size=len(by_image),
+        domain_size=reps.size,
+        image_size=len(_distinct_rows(images)),
         collisions=tuple(collisions),
         surjective=surjective,
         left_restriction_faithful=left_faithful,

@@ -53,10 +53,6 @@ class WrongSource(PermlexError):
     """An operation that only applies to doubled words got something else."""
 
 
-class NotSaturated(PermlexError):
-    """A factor statistic could not be certified stable within its window."""
-
-
 class Unsaturated(PermlexError):
-    """A computation required saturated permutation counts but enumeration
-    did not stabilise within the allowed scan."""
+    """A count or factor statistic that had to be saturated did not
+    stabilise within the allowed scan or window."""

@@ -138,8 +138,20 @@ def form_of(p: Perm) -> str:
 # -- restrictions ---------------------------------------------------------------
 
 
-def _drop_and_renumber(values: tuple[int, ...], removed: int) -> Perm:
-    return tuple(v - 1 if v > removed else v for v in values)
+def restrict_rows(rows: np.ndarray, lead: int, trail: int) -> np.ndarray:
+    """Drop ``lead`` entries from the front and ``trail`` from the back of
+    every row of a ``(W, n)`` pattern array and renumber what is left to
+    ``1..n-lead-trail``, keeping its relative order."""
+    width = rows.shape[1]
+    kept = rows[:, lead : width - trail]
+    below = np.zeros(kept.shape, dtype=np.int64)
+    for j in (*range(lead), *range(width - trail, width)):
+        below += kept > rows[:, j : j + 1]
+    return kept - below
+
+
+def _restrict(p: Perm, lead: int, trail: int) -> Perm:
+    return tuple(restrict_rows(np.array([p]), lead, trail)[0].tolist())
 
 
 def left_restrict(p: Perm) -> Perm:
@@ -147,21 +159,21 @@ def left_restrict(p: Perm) -> Perm:
     its right endpoint."""
     if len(p) < 2:
         raise LengthTooSmall("left restriction needs length at least 2")
-    return _drop_and_renumber(p[:-1], p[-1])
+    return _restrict(p, 0, 1)
 
 
 def right_restrict(p: Perm) -> Perm:
     """Forget the first entry and renumber."""
     if len(p) < 2:
         raise LengthTooSmall("right restriction needs length at least 2")
-    return _drop_and_renumber(p[1:], p[0])
+    return _restrict(p, 1, 0)
 
 
 def middle_restrict(p: Perm) -> Perm:
     """Forget both end entries and renumber."""
     if len(p) < 3:
         raise LengthTooSmall("middle restriction needs length at least 3")
-    return left_restrict(right_restrict(p))
+    return _restrict(p, 1, 1)
 
 
 def left_restrict_k(p: Perm, k: int) -> Perm:
@@ -170,9 +182,7 @@ def left_restrict_k(p: Perm, k: int) -> Perm:
         raise DomainError("restriction count must be nonnegative")
     if len(p) < k + 1:
         raise LengthTooSmall(f"cannot left-restrict a length-{len(p)} pattern {k} times")
-    for _ in range(k):
-        p = left_restrict(p)
-    return p
+    return _restrict(p, 0, k)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -212,21 +222,25 @@ def _pattern_rows(
     global_ranks = RankedWord.of(source, max_horizon).ranks(hi + n)
     starts = np.arange(lo, hi)
     if parity is not None:
-        if parity not in ("even", "odd"):
-            raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
         starts = starts[starts % 2 == (parity == "odd")]
     return window_patterns(global_ranks, starts, n)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    # One opaque key per row of a nonnegative (W, m) array, m >= 1, packed in
+    # the narrowest dtype that holds the largest entry: a 1-D np.unique of the
+    # keys sorts with memcmp, far cheaper than np.unique(axis=0).
+    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(rows.max(initial=0)))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, each at its first occurrence, in key order."""
+    return rows[np.unique(_row_keys(rows), return_index=True)[1]]
+
+
 def _unique_patterns(rows: np.ndarray) -> frozenset[Perm]:
-    # One opaque key per row, in the narrowest dtype that holds 1..n: a 1-D
-    # unique sorts the keys with memcmp, far cheaper than np.unique(axis=0),
-    # and only the distinct rows become tuples.
-    n = rows.shape[1]
-    rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(n))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
-    distinct = np.unique(keys).view(rows.dtype).reshape(-1, n)
-    return frozenset(map(tuple, distinct.tolist()))
+    return frozenset(map(tuple, _distinct_rows(rows).tolist()))
 
 
 def _enumerate(

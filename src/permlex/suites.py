@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .doubling import check_bounds
-from .errors import PermlexError
+from .errors import PermlexError, Unsaturated
 from .formulas import (
     doubled_sturmian_tau,
     doubled_tm_tau,
@@ -52,6 +52,8 @@ def _count_check(
     enumerated: Callable[[int], int],
     expected: Callable[[int], int],
 ) -> CheckResult:
+    if not lengths:
+        return CheckResult(name, False, "no lengths to check")
     mismatches = []
     for n in lengths:
         got, want = enumerated(n), expected(n)
@@ -72,10 +74,23 @@ def _count_check(
     )
 
 
-def _saturated_count(source: WordSource, n: int, scan_window: int, max_horizon: int):
-    result = perm_set(source, n, scan_window, saturate=True, max_horizon=max_horizon)
+def _saturated_count(
+    source: WordSource,
+    n: int,
+    scan_window: int,
+    max_horizon: int,
+    parity: str | None = None,
+) -> int:
+    """Saturated pattern count at length ``n``, of all starts or of the
+    ``parity`` starts of a doubled word."""
+    if parity is None:
+        result = perm_set(source, n, scan_window, max_horizon=max_horizon)
+    else:
+        result = perm_set_parity(
+            source, n, parity, scan_window, max_horizon=max_horizon
+        )
     if not result.saturated:
-        raise PermlexError(
+        raise Unsaturated(
             f"enumeration of {source.spec_string()} at n={n} did not saturate"
         )
     return result.count
@@ -210,8 +225,8 @@ def suite_doubled_thue_morse(
             _count_check(
                 f"doubled-thue-morse-parity[{field_name}]",
                 parity_lengths,
-                lambda n, p=parity, lo=length_of: _parity_count(
-                    doubled, lo(n), p, scan_window, max_horizon
+                lambda n, p=parity, lo=length_of: _saturated_count(
+                    doubled, lo(n), scan_window, max_horizon, p
                 ),
                 lambda n, f=field_name: getattr(
                     expected_parity_cardinalities(n), f
@@ -242,19 +257,6 @@ def suite_doubled_thue_morse(
     return results
 
 
-def _parity_count(
-    doubled: WordSource, length: int, parity: str, scan_window: int, max_horizon: int
-) -> int:
-    result = perm_set_parity(
-        doubled, length, parity, scan_window, saturate=True, max_horizon=max_horizon
-    )
-    if not result.saturated:
-        raise PermlexError(
-            f"parity enumeration at length {length} did not saturate"
-        )
-    return result.count
-
-
 def suite_bounds(
     n_max: int = 24,
     scan_window: int = DEFAULT_SCAN_WINDOW,
@@ -273,7 +275,9 @@ def suite_bounds(
                 failures.append(n)
             tight += int(report.odd_tight) + int(report.even_tight)
         name = f"doubling-bounds[{source.spec_string()}]"
-        if failures:
+        if start > n_max:
+            results.append(CheckResult(name, False, "no lengths to check"))
+        elif failures:
             results.append(
                 CheckResult(name, False, f"bound violated at n={failures}")
             )

@@ -22,8 +22,8 @@ from .errors import (
     DomainError,
     InvalidDirective,
     LimitExceeded,
-    NotSaturated,
     PrefixTooShort,
+    Unsaturated,
     WordSpecError,
 )
 
@@ -282,11 +282,6 @@ def complement(source: WordSource) -> ComplementSource:
     return ComplementSource(source, hard_limit=source.hard_limit)
 
 
-def extend_prefix(source: WordSource, target_len: int) -> str:
-    """Grow the cached prefix to ``target_len`` letters and return it."""
-    return source.prefix_str(target_len)
-
-
 # -- factor statistics ---------------------------------------------------------
 
 
@@ -379,7 +374,7 @@ def recurrence_bound(
     Saturation guard: the length-``k`` factor set over the first half of the
     inspected prefix must already equal the set over the whole prefix, and
     each factor must occur at least twice; otherwise the estimate cannot be
-    trusted and ``NotSaturated`` is raised.
+    trusted and ``Unsaturated`` is raised.
     """
     if k < 1:
         raise DomainError("factor length must be at least 1")
@@ -391,13 +386,13 @@ def recurrence_bound(
     codes = np.lib.stride_tricks.sliding_window_view(w, k) @ weights
     half_codes = codes[: max(eff // 2 - k + 1, 0)]
     if set(half_codes.tolist()) != set(codes.tolist()):
-        raise NotSaturated(
+        raise Unsaturated(
             f"length-{k} factor set still growing at window {eff}; "
             "inspect a longer prefix"
         )
     uniq, counts = np.unique(codes, return_counts=True)
     if counts.min() < 2:
-        raise NotSaturated(
+        raise Unsaturated(
             f"some length-{k} factor occurs only once in the first {eff} letters"
         )
     total = uniq.size
@@ -430,7 +425,7 @@ def recurrence_bound(
 
     lo, hi = k, eff
     if not window_covers_all(hi):
-        raise NotSaturated(
+        raise Unsaturated(
             f"even the full {eff}-letter window misses some length-{k} factor"
         )
     while lo < hi:

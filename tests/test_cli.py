@@ -1,6 +1,7 @@
 """The command-line interface, driven in-process through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from permlex.cli import main
 from bruteforce import naive_fibonacci, naive_thue_morse
 
 GOLDEN_IMAGE = "(5 8 14 13 12 10 3 6 11 9 1 2 4 7)"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "commands.json").read_text())
 
 
 def run(capsys, *argv):
@@ -201,3 +204,11 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "audit", "--word", "thue-morse", "--map", "delta-m", "--n", "9")
     _, second, _ = run(capsys, "audit", "--word", "thue-morse", "--map", "delta-m", "--n", "9")
     assert first == second
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["stdout"] for c in GOLDEN])
+def test_stdout_matches_golden(case, capsys):
+    # Recorded stdout and exit codes: a refactor must leave them byte-identical.
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == (GOLDEN_DIR / case["stdout"]).read_text()

@@ -1,5 +1,6 @@
 """Window patterns, restrictions, and pattern-set enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,8 @@ from permlex import (
     thue_morse_source,
 )
 from permlex import ranking
+from permlex.doubling import MAPS
+from permlex.perms import restrict_rows
 
 from bruteforce import (
     naive_cmp,
@@ -131,12 +134,32 @@ def test_format_and_parse_perm():
 # -- restrictions ---------------------------------------------------------------
 
 
-@given(perms)
-def test_restrictions_match_naive(p):
-    p = tuple(p)
+@given(
+    st.integers(min_value=3, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(1, n + 1))), min_size=1, max_size=4
+        )
+    ),
+    st.integers(min_value=0, max_value=2),
+)
+def test_restrictions_match_naive(ps, k):
+    rows = [tuple(q) for q in ps]
+    p = rows[0]
     assert left_restrict(p) == naive_left(p)
     assert right_restrict(p) == naive_right(p)
     assert middle_restrict(p) == naive_right(naive_left(p))
+    # The row routine on the stacked permutations, for every transfer map's
+    # trim and for a k-fold left restriction.
+    for lead, trail in [*MAPS.values(), (0, k)]:
+        naive = []
+        for q in rows:
+            for _ in range(lead):
+                q = naive_right(q)
+            for _ in range(trail):
+                q = naive_left(q)
+            naive.append(q)
+        got = restrict_rows(np.array(rows), lead, trail)
+        assert list(map(tuple, got.tolist())) == naive
 
 
 @given(perms)

@@ -3,6 +3,7 @@
 import pytest
 
 from permlex import CheckResult, PermlexError, run_suite
+from permlex.cli import main
 from permlex.suites import (
     suite_doubled_sturmian,
     suite_doubled_thue_morse,
@@ -60,3 +61,12 @@ def test_run_suite_dispatch_caps_the_range():
     assert all(r.ok for r in results)
     assert any("n=9..12" in r.detail for r in results)
     assert any("n=6..12" in r.detail for r in results)
+
+
+@pytest.mark.parametrize("suite, n_max", [("thue-morse", 3), ("bounds", 5)])
+def test_empty_length_range_fails(suite, n_max, capsys):
+    results = run_suite(suite, n_max)
+    empty = [r for r in results if "no lengths to check" in r.detail]
+    assert empty and not any(r.ok for r in empty)
+    assert main(["verify", "--suite", suite, "--n-max", str(n_max)]) == 2
+    assert "FAIL" in capsys.readouterr().out

@@ -11,13 +11,12 @@ from permlex import (
     InvalidDirective,
     LimitExceeded,
     MorphicSource,
-    NotSaturated,
     PrefixTooShort,
+    Unsaturated,
     WordSpecError,
     complement,
     double,
     explicit_source,
-    extend_prefix,
     factors,
     fibonacci_source,
     parse_word_spec,
@@ -118,7 +117,7 @@ def test_double_and_complement_prefixes(tm, fib):
 
 
 def test_extend_prefix(fib):
-    assert extend_prefix(fib, 21) == naive_fibonacci(21)
+    assert fib.prefix_str(21) == naive_fibonacci(21)
 
 
 # -- run bounds -----------------------------------------------------------------
@@ -190,7 +189,7 @@ def test_recurrence_bound_values(tm, fib):
 
 def test_recurrence_bound_saturation_guard():
     # Too short a window to pin the factor set down.
-    with pytest.raises(NotSaturated):
+    with pytest.raises(Unsaturated):
         recurrence_bound(thue_morse_source(), 5, window_len=12)
 
 
