@@ -552,8 +552,10 @@ def audit_map(
     """Collision and surjectivity audit of one transfer map at half-length ``n``."""
     if map_name not in MAPS:
         raise DomainError(f"unknown map {map_name!r}; expected one of {MAP_NAMES}")
-    bulk = _bulk_windows(source, n, scan_window, max_horizon)
     lead, trail = MAPS[map_name]
+    if 2 * n - lead - trail < 1:
+        raise DomainError(f"map {map_name} has an empty image at half-length n={n}")
+    bulk = _bulk_windows(source, n, scan_window, max_horizon)
     image_rows = restrict_rows(bulk.images, lead, trail)
     image_length = image_rows.shape[1]
     target = perm_set_parity(

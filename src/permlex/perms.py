@@ -4,15 +4,15 @@ The window ``[a, a+n)`` of a word gets the pattern whose i-th entry is the
 1-based rank of the shift starting at ``a+i`` among the window's shifts under
 lexicographic order.  Patterns are plain tuples of ints.
 
-Two paths compute patterns: a scalar path (``compare_shifts`` and
-``subpermutation``) that fetches letters lazily and honours a strict
-comparison horizon, and a bulk path (``perm_set``) built on the prefix-doubling
-rank engine for enumerating every window of a large scan.
+One ranking engine (``ranking.rank_span``) computes patterns on both paths:
+``subpermutation`` ranks the shifts of one window under a strict comparison
+horizon, and the bulk path (``perm_set``) slices every window of a large scan
+out of the word's one rank table.  ``compare_shifts`` orders a single pair
+and names the offset where the two shifts first differ.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     PrefixTooShort,
     WrongSource,
 )
-from .ranking import DEFAULT_MAX_HORIZON, RankedWord, window_patterns
+from .ranking import DEFAULT_MAX_HORIZON, RankedWord, rank_span, window_patterns
 from .words import DoubledSource, WordSource
 
 Perm = tuple[int, ...]
@@ -73,33 +73,18 @@ def compare_shifts(
     if a == b:
         raise DomainError("shifts at equal positions are identical")
     top = max(a, b)
-    available = source.max_available()
-    scanned = 0
-    step = 64
-    while scanned < max_horizon:
-        upto = min(scanned + step, max_horizon)
-        hit_end = top + upto > available
-        if hit_end:
-            upto = available - top
-            if upto <= scanned:
-                raise PrefixTooShort(
-                    f"shifts at {a} and {b} agree through offset {scanned - 1} "
-                    "and the word ends"
-                )
-        w = source.letters(top + upto)
-        seg_a = w[a + scanned : a + upto]
-        seg_b = w[b + scanned : b + upto]
-        diff = np.flatnonzero(seg_a != seg_b)
+    span = min(max_horizon, source.max_available() - top)
+    if span > 0:
+        w = source.letters(top + span)
+        diff = np.flatnonzero(w[a : a + span] != w[b : b + span])
         if diff.size:
-            c = scanned + int(diff[0])
+            c = int(diff[0])
             return (LESS if w[a + c] < w[b + c] else GREATER, c)
-        if hit_end:
-            raise PrefixTooShort(
-                f"shifts at {a} and {b} agree through offset {upto - 1} "
-                "and the word ends"
-            )
-        scanned = upto
-        step *= 2
+    if span < max_horizon:
+        raise PrefixTooShort(
+            f"shifts at {a} and {b} agree through offset {span - 1} "
+            "and the word ends"
+        )
     raise HorizonExhausted(
         f"shifts at {a} and {b} agree on the first {max_horizon} letters"
     )
@@ -108,21 +93,21 @@ def compare_shifts(
 def subpermutation(
     source: WordSource, a: int, n: int, max_horizon: int = DEFAULT_MAX_HORIZON
 ) -> Perm:
-    """Pattern of the window ``[a, a+n)``: entry i is the rank of shift ``a+i``."""
+    """Pattern of the window ``[a, a+n)``: entry i is the rank of shift ``a+i``.
+
+    The lookahead starts at 64 letters and doubles up to ``max_horizon``.
+    As with :func:`compare_shifts`, two shifts that agree on ``max_horizon``
+    letters raise ``HorizonExhausted``, and two that agree until the word
+    ends raise ``PrefixTooShort``.
+    """
     if a < 0:
         raise DomainError("window start must be nonnegative")
     if n < 1:
         raise DomainError("window length must be at least 1")
     if n == 1:
         return (1,)
-    order = sorted(
-        range(a, a + n),
-        key=functools.cmp_to_key(
-            lambda x, y: compare_shifts(source, x, y, max_horizon)[0]
-        ),
-    )
-    rank_of = {pos: i + 1 for i, pos in enumerate(order)}
-    return tuple(rank_of[pos] for pos in range(a, a + n))
+    ranks = rank_span(source, a, n, min(64, max_horizon), max_horizon)
+    return tuple(window_patterns(ranks, np.zeros(1, dtype=np.int64), n)[0].tolist())
 
 
 def form_of(p: Perm) -> str:

@@ -1,19 +1,21 @@
-"""Bulk lexicographic ranking of word shifts.
+"""Lexicographic ranking of word shifts: the one ranking engine.
 
-``shift_ranks`` orders the first P shifts of a word by prefix doubling: start
-from single-letter ranks and repeatedly merge each rank with the rank offset
-by the current width (one Manber-Myers round per doubling), stopping as soon
-as the first P ranks are pairwise distinct.  A rank computed this way is
-exact for every pair of shifts that separates within the supplied horizon,
-provided the letter buffer extends ``horizon`` letters past position P.
+``shift_ranks`` orders the first P shifts of a letter buffer by prefix
+doubling: start from single-letter ranks and repeatedly merge each rank with
+the rank a few positions on (one Manber-Myers round per doubling, the last
+round shortened), so that ranks compare exactly ``horizon`` letters.  It
+returns ``None`` only when two shifts agree on all ``horizon`` letters.  The
+end of the buffer is the end of the word: two shifts that agree until it
+raise ``PrefixTooShort``, since no further letter can order them.
 
-For an aperiodic word every pair of shifts eventually separates, so
-termination is a matter of lookahead; :class:`RankedWord` grows the horizon
-geometrically and gives up only past a generous multiple of the requested
-span (which would indicate a periodic or pathologically repetitive word).
-It keeps one rank table per word: ranks of the first P shifts already give
-the order of every shorter prefix of positions, so a request no larger than
-the table is a slice, and a larger one at least doubles the table.
+``rank_span`` is the one horizon loop.  It ranks a span of shifts of a
+source, doubling the horizon up to a limit and reading letters only as far
+as the source supplies them.  Its two callers are :class:`RankedWord`, which
+keeps one growing table of global ranks per word for bulk enumeration, and
+``perms.subpermutation``, which ranks the shifts of a single window.  A
+table that ranks P shifts gives the order of every shorter prefix of
+positions, so a request no larger than the table is a slice, and a larger
+one at least doubles the table.
 """
 
 from __future__ import annotations
@@ -33,20 +35,42 @@ DEFAULT_MAX_HORIZON = 4096
 def shift_ranks(
     letters: np.ndarray, positions: int, horizon: int
 ) -> np.ndarray | None:
-    """Ranks of the first ``positions`` shifts of ``letters``.
+    """Ranks of the first ``positions`` shifts of ``letters``, comparing
+    exactly ``horizon`` letters.
 
     Returned ranks are order-isomorphic integers (they say how shifts compare,
-    not where they sit in ``0..positions-1``).  Returns ``None`` when the
-    horizon could not separate every pair; the caller decides whether to retry
-    with more lookahead or give up.
+    not where they sit in ``0..positions-1``).  Returns ``None`` when two
+    shifts agree on ``horizon`` letters; the caller decides whether to retry
+    with more lookahead or give up.  The end of ``letters`` is the end of the
+    word: when two shifts agree until it, ``PrefixTooShort`` is raised.
     """
     if positions == 0:
         return np.empty(0, dtype=np.int64)
-    if letters.size < positions + horizon:
+    if letters.size < positions:
         raise PrefixTooShort(
-            f"ranking {positions} shifts with horizon {horizon} needs "
-            f"{positions + horizon} letters, got {letters.size}"
+            f"cannot rank {positions} shifts: only {letters.size} letters exist"
         )
+    first = _ranks_with_end(letters, positions, horizon, -1)
+    if first is None or letters.size >= positions + horizon:
+        return first
+    # A shift may run out within the horizon.  Only a pair that agrees until
+    # the word ends is ordered by where the end sorts, so rank again with the
+    # end sorted last and require the same order.
+    last = _ranks_with_end(letters, positions, horizon, np.iinfo(np.int64).max)
+    if not np.array_equal(np.argsort(first), np.argsort(last)):
+        raise PrefixTooShort(
+            f"two of {positions} shifts agree until the word ends "
+            f"after {letters.size} letters"
+        )
+    return first
+
+
+def _ranks_with_end(
+    letters: np.ndarray, positions: int, horizon: int, end: int
+) -> np.ndarray | None:
+    # Prefix doubling with ``end`` standing for the letters past the buffer.
+    # Merging rank[x] with rank[x + step] extends the compared prefix from
+    # ``width`` to ``width + step`` letters, never past ``horizon``.
     total = letters.size
     rank = letters.astype(np.int64)
     width = 1
@@ -56,22 +80,41 @@ def shift_ranks(
             return head.copy()
         if width >= horizon:
             return None
-        # Merge rank[x] with rank[x + width]; -1 marks truncated tails, which
-        # only affects positions too close to the buffer end to matter here.
-        shifted = np.full(total, -1, dtype=np.int64)
-        shifted[: total - width] = rank[width:]
+        step = min(width, horizon - width)
+        shifted = np.full(total, end, dtype=np.int64)
+        shifted[: total - step] = rank[step:]
         order = np.lexsort((shifted, rank))
-        key_a = rank[order]
-        key_b = shifted[order]
-        bumps = np.empty(total, dtype=np.int64)
-        bumps[0] = 0
-        bumps[1:] = np.cumsum(
-            (np.diff(key_a) != 0) | (np.diff(key_b) != 0)
-        )
-        merged = np.empty(total, dtype=np.int64)
-        merged[order] = bumps
-        rank = merged
-        width *= 2
+        bumps = (np.diff(rank[order]) != 0) | (np.diff(shifted[order]) != 0)
+        rank = np.empty(total, dtype=np.int64)
+        rank[order] = np.cumsum(np.r_[0, bumps])
+        width += step
+
+
+def rank_span(
+    source: WordSource, start: int, positions: int, horizon: int, limit: int
+) -> np.ndarray:
+    """Ranks of the shifts ``start .. start+positions-1`` of ``source``.
+
+    Doubles the horizon from ``horizon`` up to ``limit`` until every pair
+    separates, reading letters only as far as the source supplies them.
+    Raises ``HorizonExhausted`` when two shifts agree on ``limit`` letters
+    and ``PrefixTooShort`` when two agree until the word ends.
+    """
+    horizon = min(horizon, limit)
+    while True:
+        stop = min(start + positions + horizon, source.max_available())
+        try:
+            got = shift_ranks(source.letters(stop)[start:], positions, horizon)
+        except PrefixTooShort as exc:
+            raise PrefixTooShort(f"{source.spec_string()} at {start}: {exc}") from None
+        if got is not None:
+            return got
+        if horizon >= limit:
+            raise HorizonExhausted(
+                f"shifts {start}..{start + positions - 1} of "
+                f"{source.spec_string()} do not separate within {limit} letters"
+            )
+        horizon = min(2 * horizon, limit)
 
 
 class RankedWord:
@@ -80,7 +123,7 @@ class RankedWord:
     A table that ranks P shifts serves every request for at most P.  A larger
     request ranks at least twice the positions already held, so a sweep over
     growing lengths ranks O(log n) times rather than once per request.  Use
-    :meth:`of` to share one table per source and horizon.
+    :meth:`of` to share one table per source.
     """
 
     def __init__(self, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON):
@@ -94,12 +137,13 @@ class RankedWord:
         cls, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON
     ) -> "RankedWord":
         """The table owned by ``source``; it sees its source through a weak
-        proxy, so the pair forms no reference cycle."""
-        cached = source._ranker
-        if cached is None or cached.max_horizon != max_horizon:
-            cached = cls(weakref.proxy(source), max_horizon)
-            source._ranker = cached
-        return cached
+        proxy, so the pair forms no reference cycle.  Ranks are exact orders
+        whatever horizon found them, so one table serves every horizon; the
+        latest ``max_horizon`` governs how it grows."""
+        if source._ranker is None:
+            source._ranker = cls(weakref.proxy(source))
+        source._ranker.max_horizon = int(max_horizon)
+        return source._ranker
 
     def ranks(self, positions: int) -> np.ndarray:
         """Global ranks of shifts ``0..positions-1``, growing on demand."""
@@ -108,59 +152,24 @@ class RankedWord:
         # Aperiodic binary words separate positions a < b < P well within a
         # small multiple of P letters, so start past the configured horizon
         # and double a few times before declaring the word periodic-looking.
-        first = max(self.max_horizon, 2 * positions)
-        cap = max(16 * positions, 4 * self.max_horizon)
-        limit = first
-        while limit < cap:
-            limit *= 2
-        # Grow geometrically, but only as far as the source supplies letters
-        # for a full horizon, and with no more lookahead than the exact
-        # request may use: the larger request then cannot succeed where the
-        # exact one fails, and the exact request alone decides errors and the
-        # behaviour of finite words.
-        available = self.source.max_available()
-        grown = min(2 * self._count, available - self.max_horizon, available // 3)
-        if grown > positions:
-            try:
-                self._rank(grown, min(limit, available - grown))
-            except PermlexError:
-                self._rank(positions, limit)
-        else:
-            self._rank(positions, limit)
-        return self._ranks[:positions]
+        limit = max(16 * positions, 4 * self.max_horizon)
+        grown = max(positions, 2 * self._count)
+        try:
+            got = self._rank(grown, limit)
+        except PermlexError:
+            # Shifts past the request may run out or tie; the exact request
+            # alone decides errors and the behaviour of finite words.
+            if grown == positions:
+                raise
+            got = self._rank(positions, limit)
+        got.setflags(write=False)
+        self._ranks = got
+        self._count = got.size
+        return got[:positions]
 
-    def _rank(self, positions: int, limit: int) -> None:
-        """Rank ``positions`` shifts, doubling the horizon up to ``limit``."""
-        horizon = min(max(self.max_horizon, 2 * positions), limit)
-        while True:
-            available = self.source.max_available()
-            need = positions + horizon
-            clamped = need > available
-            if clamped:
-                horizon = available - positions
-                if horizon <= 0:
-                    raise PrefixTooShort(
-                        f"cannot rank {positions} shifts of "
-                        f"{self.source.spec_string()}: only {available} letters exist"
-                    )
-                need = available
-            got = shift_ranks(self.source.letters(need), positions, horizon)
-            if got is not None:
-                got.setflags(write=False)
-                self._ranks = got
-                self._count = positions
-                return
-            if clamped:
-                raise PrefixTooShort(
-                    f"shifts of {self.source.spec_string()} did not separate "
-                    f"before the word ran out ({available} letters)"
-                )
-            if horizon >= limit:
-                raise HorizonExhausted(
-                    f"shifts of {self.source.spec_string()} agree beyond "
-                    f"{horizon} letters; the word looks periodic"
-                )
-            horizon = min(2 * horizon, limit)
+    def _rank(self, positions: int, limit: int) -> np.ndarray:
+        horizon = max(self.max_horizon, 2 * positions)
+        return rank_span(self.source, 0, positions, horizon, limit)
 
 
 def window_patterns(

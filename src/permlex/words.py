@@ -384,57 +384,29 @@ def recurrence_bound(
     w = source.letters(eff).astype(np.int64)
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
     codes = np.lib.stride_tricks.sliding_window_view(w, k) @ weights
-    half_codes = codes[: max(eff // 2 - k + 1, 0)]
-    if set(half_codes.tolist()) != set(codes.tolist()):
+    # Factor starts grouped by factor, each group in position order.
+    order = np.argsort(codes, kind="stable")
+    first = np.r_[True, codes[order[1:]] != codes[order[:-1]]]
+    last = np.r_[first[1:], True]
+    if order[first].max() >= eff // 2 - k + 1:
         raise Unsaturated(
             f"length-{k} factor set still growing at window {eff}; "
             "inspect a longer prefix"
         )
-    uniq, counts = np.unique(codes, return_counts=True)
-    if counts.min() < 2:
+    if (first & last).any():
         raise Unsaturated(
             f"some length-{k} factor occurs only once in the first {eff} letters"
         )
-    total = uniq.size
-
-    def window_covers_all(n: int) -> bool:
-        # Distinct codes in each sliding range of n - k + 1 factor positions.
-        span = n - k + 1
-        if span < 1:
-            return False
-        tally = np.zeros(int(codes.max()) + 1, dtype=np.int64)
-        distinct = 0
-        for x in codes[:span]:
-            if tally[x] == 0:
-                distinct += 1
-            tally[x] += 1
-        if distinct < total:
-            return False
-        for lead in range(span, codes.size):
-            x = codes[lead]
-            if tally[x] == 0:
-                distinct += 1
-            tally[x] += 1
-            y = codes[lead - span]
-            tally[y] -= 1
-            if tally[y] == 0:
-                distinct -= 1
-            if distinct < total:
-                return False
-        return True
-
-    lo, hi = k, eff
-    if not window_covers_all(hi):
-        raise Unsaturated(
-            f"even the full {eff}-letter window misses some length-{k} factor"
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if window_covers_all(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # A window of N letters holds the factors starting in N - k + 1
+    # consecutive positions.  It misses a factor only if it fits before the
+    # factor's first occurrence, after its last, or between two consecutive
+    # occurrences, so the smallest covering span is the largest such gap.
+    span = max(
+        order[first].max() + 1,
+        codes.size - order[last].min(),
+        np.diff(order)[~first[1:]].max(),
+    )
+    return int(span) + k - 1
 
 
 # -- word-spec grammar ---------------------------------------------------------

@@ -195,8 +195,13 @@ def test_audit_image_size_matches_parity_enumeration(tm, dtm):
 
 
 def test_audit_rejects_unknown_map(tm):
-    with pytest.raises(DomainError):
-        audit_map(tm, "delta-x", 9)
+    for map_name, n, message in [
+        ("delta-x", 9, "unknown map 'delta-x'"),
+        # delta-m trims both ends of [2a, 2a+2): nothing is left to rank.
+        ("delta-m", 1, "map delta-m has an empty image at half-length n=1"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            audit_map(tm, map_name, n)
 
 
 def test_audit_report_serialises(tm):

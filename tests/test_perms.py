@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permlex import (
@@ -12,7 +12,9 @@ from permlex import (
     HorizonExhausted,
     LengthTooSmall,
     MorphicSource,
+    PermlexError,
     PrefixTooShort,
+    RankedWord,
     WrongSource,
     compare_shifts,
     double,
@@ -29,6 +31,7 @@ from permlex import (
     right_restrict,
     subpermutation,
     thue_morse_source,
+    window_patterns,
 )
 from permlex import ranking
 from permlex.doubling import MAPS
@@ -109,6 +112,47 @@ def test_subpermutation_validation(tm):
         subpermutation(tm, 0, 0)
     with pytest.raises(DomainError):
         subpermutation(tm, -2, 4)
+
+
+_FINITE = "0110" * 8 + "0"
+
+
+def _agreement_source(kind, text):
+    if kind == "explicit":
+        return explicit_source(text)
+    period = (0, *map(int, text))  # the fixed point is period repeated
+    return MorphicSource({0: period, 1: period})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    word=st.one_of(
+        st.tuples(st.just("explicit"), st.text("01", min_size=1, max_size=48)),
+        st.tuples(st.just("periodic"), st.text("01", min_size=1, max_size=5)),
+    ),
+    a=st.integers(min_value=0, max_value=40),
+    n=st.integers(min_value=1, max_value=16),
+)
+@example(word=("explicit", _FINITE), a=0, n=8)
+@example(word=("explicit", _FINITE), a=0, n=4)
+@example(word=("explicit", _FINITE), a=3, n=5)
+@example(word=("explicit", _FINITE), a=28, n=5)
+@example(word=("periodic", "11"), a=2, n=3)
+def test_scalar_and_bulk_paths_agree(word, a, n):
+    # subpermutation ranks one window; the bulk path slices it out of the
+    # word's rank table, which also ranks every shift before the window.
+    source = _agreement_source(*word)
+    try:
+        scalar = subpermutation(source, a, n)
+    except PermlexError as exc:
+        with pytest.raises(type(exc)):
+            RankedWord(source).ranks(a + n)
+        return
+    try:
+        ranks = RankedWord(source).ranks(a + n)
+    except PermlexError:
+        return  # a shift before the window ties or runs out
+    assert tuple(window_patterns(ranks, np.array([a]), n)[0].tolist()) == scalar
 
 
 def test_form_reads_off_the_factor(tm, fib):

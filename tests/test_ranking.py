@@ -54,15 +54,30 @@ def test_shift_ranks_against_substring_sort(positions, horizon):
             assert got is not None and _dense(got) == want
 
 
-def test_shift_ranks_reports_unresolved_ties():
-    # Within horizon 4 the two copies of "0101" are indistinguishable.
-    got = shift_ranks(_letters("01010110"), 3, 4)
-    assert got is None
+@pytest.mark.parametrize(
+    "text,positions,horizon",
+    [
+        # Within horizon 4 the two copies of "0101" are indistinguishable.
+        pytest.param("01010110", 3, 4, id="copies"),
+        # Shifts 0 and 1 agree on "000"; the fourth letter lies past the
+        # horizon, so the last doubling round must not look at it.
+        pytest.param("00001", 2, 3, id="horizon-not-power-of-two"),
+    ],
+)
+def test_shift_ranks_reports_unresolved_ties(text, positions, horizon):
+    assert shift_ranks(_letters(text), positions, horizon) is None
 
 
 def test_shift_ranks_requires_full_buffer():
+    # The end of the buffer is the end of the word.  "0110", "110" and "10"
+    # differ before it.
+    assert _dense(shift_ranks(_letters("0110"), 3, 4)) == [0, 2, 1]
+    # "0" is a prefix of "0110": only the end of the word tells them apart.
     with pytest.raises(PrefixTooShort):
-        shift_ranks(_letters("0110"), 3, 4)
+        shift_ranks(_letters("0110"), 4, 4)
+    # There is no fifth shift.
+    with pytest.raises(PrefixTooShort):
+        shift_ranks(_letters("0110"), 5, 4)
 
 
 def test_ranked_word_grows_horizon(tm):

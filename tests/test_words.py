@@ -185,6 +185,19 @@ def test_recurrence_bound_values(tm, fib):
     assert recurrence_bound(fib, 3, window_len=512) == _naive_recurrence(
         naive_fibonacci(512), 3
     )
+    # Sturmian and doubled words, then finite words whose widest gap sits
+    # before a first occurrence, after a last one, and between occurrences.
+    for source, text, k in [
+        (sturmian_characteristic((2,)), naive_sturmian((2,), 300), 4),
+        (sturmian_characteristic((3, 1)), naive_sturmian((3, 1), 300), 5),
+        (double(thue_morse_source()), naive_double(naive_thue_morse(150)), 3),
+        (explicit_source("00000010010010001"), "00000010010010001", 2),
+        (explicit_source("11010011010010110111"), "11010011010010110111", 2),
+        (explicit_source("0010111001011100"), "0010111001011100", 2),
+    ]:
+        assert recurrence_bound(source, k, window_len=300) == _naive_recurrence(
+            text, k
+        )
 
 
 def test_recurrence_bound_saturation_guard():
