@@ -210,9 +210,7 @@ def formula_for(source: WordSource, n: int) -> int | None:
     if isinstance(source, SturmianSource):
         return sturmian_tau(n) if n >= 2 else None
     if isinstance(source, MorphicSource):
-        if source.spec_string() == "thue-morse":
-            return tm_tau(n) if n >= 6 else None
-        return None
+        return tm_tau(n) if source.is_thue_morse() and n >= 6 else None
     if isinstance(source, DoubledSource):
         inner = source.inner
         while isinstance(inner, ComplementSource):
@@ -223,6 +221,6 @@ def formula_for(source: WordSource, n: int) -> int | None:
                 inner._doubled_formula = (k, 2 * recurrence_bound(inner, k))
             k, onset = inner._doubled_formula
             return doubled_sturmian_tau(n, k) if n >= onset else None
-        if isinstance(inner, MorphicSource) and inner.spec_string() == "thue-morse":
+        if isinstance(inner, MorphicSource) and inner.is_thue_morse():
             return doubled_tm_tau(n) if n >= 17 else None
     return None

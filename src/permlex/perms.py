@@ -67,6 +67,8 @@ def compare_shifts(
     ``a`` comes first and GREATER (+1) otherwise; witness is the offset of the
     first differing letter.  Raises ``HorizonExhausted`` if the shifts agree
     on ``max_horizon`` letters, and ``PrefixTooShort`` if the word ends first.
+    The first 64 offsets are compared before any later one, and the compared
+    slice then doubles, so a near difference never grows the prefix far.
     """
     if a < 0 or b < 0:
         raise DomainError("shift positions must be nonnegative")
@@ -74,12 +76,14 @@ def compare_shifts(
         raise DomainError("shifts at equal positions are identical")
     top = max(a, b)
     span = min(max_horizon, source.max_available() - top)
-    if span > 0:
-        w = source.letters(top + span)
-        diff = np.flatnonzero(w[a : a + span] != w[b : b + span])
+    lo, hi = 0, min(64, span)
+    while lo < hi:
+        w = source.letters(top + hi)
+        diff = np.flatnonzero(w[a + lo : a + hi] != w[b + lo : b + hi])
         if diff.size:
-            c = int(diff[0])
+            c = lo + int(diff[0])
             return (LESS if w[a + c] < w[b + c] else GREATER, c)
+        lo, hi = hi, min(2 * hi, span)
     if span < max_horizon:
         raise PrefixTooShort(
             f"shifts at {a} and {b} agree through offset {span - 1} "

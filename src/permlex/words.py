@@ -13,6 +13,7 @@ same data as a digit string for display and hashing.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -58,6 +59,7 @@ class WordSource:
         self._ranker = None            # ranking.RankedWord.of
         self._doubled_twin = None      # doubling._doubled_view
         self._doubled_formula = None   # formulas.formula_for: (k, onset)
+        self._run_scan = _RunScan()    # words.run_bounds
 
     # -- subclass interface -------------------------------------------------
 
@@ -146,8 +148,11 @@ class MorphicSource(WordSource):
         self._word = word
         return _str_to_letters(word)
 
+    def is_thue_morse(self) -> bool:
+        return self.rules == _THUE_MORSE_RULES and self.seed == 0
+
     def spec_string(self) -> str:
-        if self.rules == dict(_THUE_MORSE_RULES) and self.seed == 0:
+        if self.is_thue_morse():
             return "thue-morse"
         images = ";".join(f"{a}>{self._images_str[str(a)]}" for a in (0, 1))
         return f"morphic[{images}|seed={self.seed}]"
@@ -306,6 +311,60 @@ def _effective_window(source: WordSource, window_len: int) -> int:
     return min(window_len, source.max_available())
 
 
+def _run_starts(w: np.ndarray, lo: int) -> np.ndarray:
+    """Positions in ``[lo, w.size)`` where a new run starts (``lo >= 1``)."""
+    return np.flatnonzero(w[lo:] != w[lo - 1 : -1]) + lo
+
+
+class _RunScan:
+    """Run statistics of a source's prefix, grown as ``run_bounds`` inspects
+    longer prefixes.
+
+    Letters ``[0, scanned)`` have been scanned, each once.  The state stays
+    O(records), never one entry per run: the first three run starts, the
+    start of the last run seen (its end is not known yet), and per letter
+    the records ``(end, maximum)`` at which the running maximum of completed
+    interior runs grows, ``end`` being the start of the next run.
+    """
+
+    def __init__(self) -> None:
+        self.scanned = 0
+        self.first_starts = [0]
+        self.last_start = 0
+        self.record_ends: tuple[list[int], list[int]] = ([], [])
+        self.record_maxima: tuple[list[int], list[int]] = ([], [])
+
+    def extend(self, w: np.ndarray) -> None:
+        """Scan the letters of ``w`` past ``scanned``."""
+        fresh = _run_starts(w, max(self.scanned, 1))
+        self.scanned = w.size
+        if not fresh.size:
+            return
+        self.first_starts += fresh[: 3 - len(self.first_starts)].tolist()
+        bounds = np.concatenate([[self.last_start], fresh])
+        self.last_start = int(fresh[-1])
+        starts, ends = bounds[:-1], bounds[1:]
+        if starts[0] == 0:  # the first run is never interior
+            starts, ends = starts[1:], ends[1:]
+        lengths, letters_at = ends - starts, w[starts]
+        for letter in (0, 1):
+            pick = letters_at == letter
+            record_ends, maxima = self.record_ends[letter], self.record_maxima[letter]
+            running = np.maximum.accumulate(
+                np.concatenate([[maxima[-1] if maxima else 0], lengths[pick]])
+            )
+            grows = np.diff(running) > 0
+            record_ends.extend(ends[pick][grows].tolist())
+            maxima.extend(running[1:][grows].tolist())
+
+    def interior_max(self, letter: int, eff: int) -> int:
+        """Longest interior run of ``letter`` in the first ``eff`` letters,
+        i.e. not the first run and followed by a run starting before
+        ``eff``; 0 if there is none."""
+        i = bisect_left(self.record_ends[letter], eff)
+        return self.record_maxima[letter][i - 1] if i else 0
+
+
 def run_bounds(
     source: WordSource, inspect_len: int = DEFAULT_FACTOR_WINDOW
 ) -> RunBounds:
@@ -315,6 +374,12 @@ def run_bounds(
     touching either end of the prefix is longer than everything certified, or
     a letter never completes an interior run, the prefix cannot support a
     conclusion and ``PrefixTooShort`` is raised.
+
+    The result is exact for the inspected prefix, whatever longer prefixes
+    were inspected before.  The source scans each letter once over all
+    calls, so the cost is amortised: a call past the scanned prefix reads
+    only the new letters, and every call answers from a few run records
+    plus a look at the last ``k + 1`` letters.
     """
     if inspect_len < 2:
         raise DomainError("inspect_len must be at least 2")
@@ -322,31 +387,32 @@ def run_bounds(
     if eff < 2:
         raise PrefixTooShort("cannot certify run bounds on fewer than 2 letters")
     w = source.letters(eff)
-    run_starts = np.concatenate([[0], np.flatnonzero(np.diff(w)) + 1])
-    run_ends = np.concatenate([run_starts[1:], [w.size]])
-    lengths = run_ends - run_starts
-    letters_at = w[run_starts]
-    if run_starts.size < 3:
+    scan = source._run_scan
+    if eff > scan.scanned:
+        scan.extend(w)
+    if len(scan.first_starts) < 3 or scan.first_starts[2] >= eff:
         raise PrefixTooShort(
             f"no interior runs in the first {eff} letters of {source.spec_string()}"
         )
-    interior_lengths = lengths[1:-1]
-    interior_letters = letters_at[1:-1]
-    bounds = {}
+    bounds = [scan.interior_max(letter, eff) for letter in (0, 1)]
     for letter in (0, 1):
-        runs = interior_lengths[interior_letters == letter]
-        if runs.size == 0:
+        if not bounds[letter]:
             raise PrefixTooShort(
                 f"letter {letter} completes no interior run in the first {eff} "
                 f"letters of {source.spec_string()}"
             )
-        bounds[letter] = int(runs.max())
-    for edge in (0, run_starts.size - 1):
-        if lengths[edge] > bounds[int(letters_at[edge])]:
-            raise PrefixTooShort(
-                "a run clipped by the prefix boundary exceeds every interior run; "
-                "inspect a longer prefix"
-            )
+    # The first run ends at the second run start.  The last run, clipped by
+    # the prefix end, exceeds its bound k iff the last k + 1 letters agree
+    # (an interior run has k <= eff - 2, so they all lie in the prefix).
+    last = int(w[-1])
+    if (
+        scan.first_starts[1] > bounds[int(w[0])]
+        or (w[eff - bounds[last] - 1 :] == last).all()
+    ):
+        raise PrefixTooShort(
+            "a run clipped by the prefix boundary exceeds every interior run; "
+            "inspect a longer prefix"
+        )
     return RunBounds(k0=bounds[0], k1=bounds[1], certified_over=eff)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from permlex import (
     DomainError,
+    MorphicSource,
     complement,
     decompose_floor,
     decompose_shifted,
@@ -159,3 +160,26 @@ def test_formula_for_routes_by_source():
     # below each onset no claim is made
     assert formula_for(tm, 5) is None
     assert formula_for(double(tm), 16) is None
+
+
+def test_formula_for_routes_thue_morse_on_structure(monkeypatch):
+    tm = thue_morse_source()
+    flipped = complement(tm)
+    doubled_flipped = double(complement(tm))
+    period_doubling = MorphicSource({0: (0, 1), 1: (0, 0)})
+    # The same rules from seed 1 generate complement(thue-morse), which the
+    # routing claims only through an explicit complement.
+    seeded_one = MorphicSource({0: (0, 1), 1: (1, 0)}, seed=1)
+    for n in (5, 6, 9, 16, 17, 40):
+        assert formula_for(tm, n) == (tm_tau(n) if n >= 6 else None)
+        assert formula_for(flipped, n) == formula_for(tm, n)
+        assert formula_for(doubled_flipped, n) == (
+            doubled_tm_tau(n) if n >= 17 else None
+        )
+        assert formula_for(period_doubling, n) is None
+        assert formula_for(seeded_one, n) is None
+        assert formula_for(double(period_doubling), n) is None
+    # Routing reads the rules and seed, never the rendered spec string.
+    monkeypatch.setattr(MorphicSource, "spec_string", lambda self: "thue-morse")
+    assert formula_for(period_doubling, 9) is None
+    assert formula_for(double(period_doubling), 17) is None

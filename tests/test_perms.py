@@ -89,6 +89,14 @@ def test_compare_shifts_on_finite_word():
         compare_shifts(explicit_source("010010"), 0, 3)
 
 
+def test_compare_shifts_reads_a_short_slice_first():
+    # The shifts differ at once, so the prefix grows only to the next power
+    # of two past the first 64-letter slice, not past the full horizon.
+    tm = thue_morse_source()
+    compare_shifts(tm, 130000, 130001)
+    assert tm._prefix.size == 131072
+
+
 # -- subpermutations ------------------------------------------------------------
 
 

@@ -1,9 +1,12 @@
 """Word sources: fixed points, Sturmian standard words, wrappers, run bounds."""
 
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permlex import (
     DomainError,
@@ -11,7 +14,9 @@ from permlex import (
     InvalidDirective,
     LimitExceeded,
     MorphicSource,
+    PermlexError,
     PrefixTooShort,
+    RunBounds,
     Unsaturated,
     WordSpecError,
     complement,
@@ -25,6 +30,8 @@ from permlex import (
     sturmian_characteristic,
     thue_morse_source,
 )
+from permlex import words
+from permlex.words import DEFAULT_FACTOR_WINDOW
 
 from bruteforce import (
     naive_complement,
@@ -151,6 +158,128 @@ def test_run_bounds_reject_unbounded_prefix():
         run_bounds(explicit_source("000010"), inspect_len=6)
     with pytest.raises(PrefixTooShort):
         run_bounds(explicit_source("01"))
+
+
+def _naive_run_bounds(source, inspect_len=DEFAULT_FACTOR_WINDOW):
+    # Cache-free reference: every call rescans the whole inspected prefix.
+    if inspect_len < 2:
+        raise DomainError("inspect_len must be at least 2")
+    eff = min(inspect_len, source.max_available())
+    if eff < 2:
+        raise PrefixTooShort("cannot certify run bounds on fewer than 2 letters")
+    w = source.letters(eff)
+    run_starts = np.concatenate([[0], np.flatnonzero(np.diff(w)) + 1])
+    run_ends = np.concatenate([run_starts[1:], [w.size]])
+    lengths = run_ends - run_starts
+    letters_at = w[run_starts]
+    if run_starts.size < 3:
+        raise PrefixTooShort(
+            f"no interior runs in the first {eff} letters of {source.spec_string()}"
+        )
+    interior_lengths = lengths[1:-1]
+    interior_letters = letters_at[1:-1]
+    bounds = {}
+    for letter in (0, 1):
+        runs = interior_lengths[interior_letters == letter]
+        if runs.size == 0:
+            raise PrefixTooShort(
+                f"letter {letter} completes no interior run in the first {eff} "
+                f"letters of {source.spec_string()}"
+            )
+        bounds[letter] = int(runs.max())
+    for edge in (0, run_starts.size - 1):
+        if lengths[edge] > bounds[int(letters_at[edge])]:
+            raise PrefixTooShort(
+                "a run clipped by the prefix boundary exceeds every interior run; "
+                "inspect a longer prefix"
+            )
+    return RunBounds(k0=bounds[0], k1=bounds[1], certified_over=eff)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PermlexError as exc:
+        return type(exc), str(exc)
+
+
+# Its first 20 letters have bounds (1, 1) and its first 104 have (3, 1), so
+# bounds over 20 letters must not borrow the run 000 from a call over 104.
+LATE_RUN_WORD = "explicit:" + "01" * 40 + "000" + "1" + "01" * 10
+RUN_SPECS = [
+    "thue-morse", "fibonacci", "sturmian:2", "sturmian:3,1", "double(thue-morse)"
+]
+
+
+def _from_runs(first: int, runs: list[int]) -> str:
+    letters = (str((first + i) % 2) * r for i, r in enumerate(runs))
+    return "explicit:" + "".join(letters)[:80]
+
+
+# Explicit words of long runs make the clipped edge runs matter.
+EXPLICIT_WORDS = st.one_of(
+    st.text("01", min_size=1, max_size=80).map("explicit:".__add__),
+    st.builds(
+        _from_runs,
+        st.integers(0, 1),
+        st.lists(st.integers(1, 6), min_size=1, max_size=30),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=st.one_of(st.sampled_from(RUN_SPECS), EXPLICIT_WORDS),
+    lengths=st.lists(
+        st.one_of(st.integers(0, 90), st.integers(0, 1 << 14)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@example(spec=LATE_RUN_WORD, lengths=[20, 104])
+@example(spec=LATE_RUN_WORD, lengths=[104, 20])
+# After the scan has passed it, the run 11 ending exactly at the prefix end
+# is the clipped last run of the first 6 letters, not an interior one.
+@example(spec="explicit:01001100", lengths=[8, 6])
+def test_run_bounds_exact_in_any_call_order(spec, lengths):
+    shared = parse_word_spec(spec)
+    for n in lengths:
+        fresh = parse_word_spec(spec)
+        assert _outcome(lambda: run_bounds(shared, n)) == _outcome(
+            lambda: _naive_run_bounds(fresh, n)
+        )
+
+
+def test_run_bounds_on_shared_sources(tm, fib, st2, dtm):
+    # Session fixtures carry whatever prefixes earlier tests inspected.
+    for source in (tm, fib, st2, dtm):
+        spec = source.spec_string()
+        for n in (50_000, 4096, 7, 300, 50_001):
+            fresh = parse_word_spec(spec)
+            assert _outcome(lambda: run_bounds(source, n)) == _outcome(
+                lambda: _naive_run_bounds(fresh, n)
+            )
+
+
+def test_run_bounds_scans_each_letter_once(monkeypatch):
+    scanned = []
+    counted = words._run_starts
+
+    def counting(w, lo):
+        scanned.append((lo, w.size))
+        return counted(w, lo)
+
+    monkeypatch.setattr(words, "_run_starts", counting)
+    source = thue_morse_source()
+    rng = random.Random(17)
+    lengths = [rng.randint(2, 1 << 17) for _ in range(200)]
+    for n in lengths:
+        run_bounds(source, n)
+    # The scanned position ranges are disjoint and cover no more than the
+    # longest inspected prefix.
+    scanned.sort()
+    assert all(hi <= lo for (_, hi), (lo, _) in zip(scanned, scanned[1:]))
+    assert sum(hi - lo for lo, hi in scanned) <= max(lengths)
 
 
 # -- factors and recurrence -----------------------------------------------------
