@@ -8,6 +8,7 @@ check suite).
 Exit codes: 0 success, 1 usage or domain error, 2 verification mismatch.
 ``PERMLEX_SCAN_WINDOW`` and ``PERMLEX_MAX_HORIZON`` override the default
 enumeration window and comparison horizon; explicit flags beat both.
+``delta`` scans nothing, so it reads only the horizon.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _setting(flag: int | None, name: str, fallback: int) -> int:
+    """An explicit flag, else the integer in environment variable ``name``,
+    else ``fallback``."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -52,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scan=False):
+    def add_common(p, scan=False, horizon=False):
         p.add_argument("--word", required=True, help="word spec, e.g. fibonacci, "
                        "thue-morse, sturmian:2,1, explicit:0110, double(fibonacci)")
         p.add_argument("--output", help="write to this file instead of stdout")
@@ -60,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scan-window", type=int, default=None,
                            help="window start positions to scan "
                            f"(default {DEFAULT_SCAN_WINDOW} or PERMLEX_SCAN_WINDOW)")
+        if scan or horizon:
             p.add_argument("--max-horizon", type=int, default=None,
                            help="letters two shifts may agree on before giving up "
                            f"(default {DEFAULT_MAX_HORIZON} or PERMLEX_MAX_HORIZON)")
@@ -77,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="single fixed-window scan instead of saturation")
 
     dlt = sub.add_parser("delta", help="trace one window through the doubling map")
-    add_common(dlt, scan=True)
+    add_common(dlt, horizon=True)
     dlt.add_argument("--start", type=int, required=True)
     dlt.add_argument("--count", type=int, required=True, help="window length n")
 
@@ -105,14 +111,13 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _resolve_horizon(args) -> int:
+    return _setting(args.max_horizon, "PERMLEX_MAX_HORIZON", DEFAULT_MAX_HORIZON)
+
+
 def _resolve_scan(args) -> tuple[int, int]:
-    scan = args.scan_window
-    if scan is None:
-        scan = _env_int("PERMLEX_SCAN_WINDOW", DEFAULT_SCAN_WINDOW)
-    horizon = args.max_horizon
-    if horizon is None:
-        horizon = _env_int("PERMLEX_MAX_HORIZON", DEFAULT_MAX_HORIZON)
-    return scan, horizon
+    scan = _setting(args.scan_window, "PERMLEX_SCAN_WINDOW", DEFAULT_SCAN_WINDOW)
+    return scan, _resolve_horizon(args)
 
 
 def cmd_gen(args) -> int:
@@ -167,7 +172,7 @@ def cmd_tau(args) -> int:
 
 def cmd_delta(args) -> int:
     source = parse_word_spec(args.word)
-    _, horizon = _resolve_scan(args)
+    horizon = _resolve_horizon(args)
     result = delta(source, args.start, args.count, max_horizon=horizon)
     doubled = double(source)
     direct = subpermutation(

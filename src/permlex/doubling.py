@@ -21,7 +21,11 @@ entry points (``class_profile``, ``delta`` and friends) call it on a single
 window; ``audit_map``/``verify_image_formulas`` call it on every window of a
 scan and compare against patterns computed directly on the doubled word.
 ``MAPS`` defines the four transfer maps by the entries each trims from the
-doubled window.
+doubled window, and drives both paths: ``delta_left``/``delta_right``/
+``delta_middle`` trim one image by it, the bulk path trims every image row.
+``_BulkWindows.direct`` is the one routine that ranks doubled windows
+directly, for the formula check, ``verify_image_formulas`` and the
+surjectivity side of ``audit_map``.
 """
 
 from __future__ import annotations
@@ -39,16 +43,13 @@ from .perms import (
     LESS,
     Perm,
     _distinct_rows,
+    _restrict,
     _row_keys,
     _unique_patterns,
     compare_shifts,
     is_permutation,
-    left_restrict,
-    middle_restrict,
     perm_set,
-    perm_set_parity,
     restrict_rows,
-    right_restrict,
     subpermutation,
 )
 from .ranking import DEFAULT_MAX_HORIZON, RankedWord, window_patterns
@@ -91,20 +92,11 @@ def _class_indices(
             f"classifying {count} positions needs {count + k} letters, "
             f"got {letters.size}"
         )
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    changes = np.flatnonzero(letters[:-1] != letters[1:]) + 1
+    # Run ends: every letter change, then the end of the buffer, which lies
+    # past every classified position.
+    ends = np.append(np.flatnonzero(letters[:-1] != letters[1:]) + 1, letters.size)
     xs = np.arange(count)
-    if changes.size:
-        slot = np.searchsorted(changes, xs, side="right")
-        run_end = np.where(
-            slot < changes.size,
-            changes[np.minimum(slot, changes.size - 1)],
-            letters.size,
-        )
-    else:
-        run_end = np.full(count, letters.size)
-    run = run_end - xs
+    run = ends[np.searchsorted(ends, xs, side="right")] - xs
     head = letters[:count].astype(np.int64)
     cap = np.where(head == 0, k0, k1)
     over = np.flatnonzero(run > cap)
@@ -186,13 +178,13 @@ class ClassProfile:
 
 
 def _window_classes(
-    source: WordSource, a: int, n: int, bounds: RunBounds | None
-) -> tuple[ClassProfile, np.ndarray, np.ndarray]:
-    """``class_profile`` plus its classes and class sizes as arrays."""
+    source: WordSource, a: int, n: int
+) -> tuple[ClassProfile, np.ndarray, np.ndarray, np.ndarray]:
+    """``class_profile`` plus the window's classes, class sizes and letters
+    as arrays."""
     if a < 0 or n < 1:
         raise DomainError("window start must be >= 0 and length >= 1")
-    if bounds is None:
-        bounds = _bounds_covering(source, a + n)
+    bounds = _bounds_covering(source, a + n)
     letters = source.letters(a + n + bounds.k)
     classes = _class_indices(letters[a:], bounds.k0, bounds.k1, n)
     gamma = np.bincount(classes, minlength=bounds.k0 + bounds.k1)
@@ -211,22 +203,17 @@ def _window_classes(
         gamma=tuple(gamma.tolist()),
         partial_sums=tuple(np.cumsum(gamma).tolist()),
     )
-    return profile, classes, gamma
+    return profile, classes, gamma, letters[a : a + n]
 
 
-def class_profile(
-    source: WordSource,
-    a: int,
-    n: int,
-    bounds: RunBounds | None = None,
-) -> ClassProfile:
+def class_profile(source: WordSource, a: int, n: int) -> ClassProfile:
     """Class data for the window ``[a, a+n)``.
 
     Every class must be inhabited; a window too short to meet all classes
     (shorter than the word's recurrence bound for length-k factors) raises
     ``ClassMissing``.
     """
-    return _window_classes(source, a, n, bounds)[0]
+    return _window_classes(source, a, n)[0]
 
 
 @dataclass(frozen=True)
@@ -252,10 +239,9 @@ def delta(
     The result's ``image`` equals the doubled word's pattern at
     ``[2a, 2a+2n)`` but is computed without ever ranking doubled shifts.
     """
-    profile, classes, gamma = _window_classes(source, a, n, None)
+    profile, classes, gamma, letters = _window_classes(source, a, n)
     base = subpermutation(source, a, n + profile.k, max_horizon)
     core = restrict_rows(np.array([base]), 0, profile.k)
-    letters = source.letters(a + n)[a:]
     image = tuple(_images(core, classes[None], gamma[None], letters[None])[0].tolist())
     if not is_permutation(image):
         raise AssertionError(
@@ -276,21 +262,21 @@ def delta_left(
     source: WordSource, a: int, n: int, max_horizon: int = DEFAULT_MAX_HORIZON
 ) -> Perm:
     """Doubled pattern with its last position dropped: window ``[2a, 2a+2n-1)``."""
-    return left_restrict(delta(source, a, n, max_horizon).image)
+    return _restrict(delta(source, a, n, max_horizon).image, *MAPS["delta-l"])
 
 
 def delta_right(
     source: WordSource, a: int, n: int, max_horizon: int = DEFAULT_MAX_HORIZON
 ) -> Perm:
     """Doubled pattern with its first position dropped: window ``[2a+1, 2a+2n)``."""
-    return right_restrict(delta(source, a, n, max_horizon).image)
+    return _restrict(delta(source, a, n, max_horizon).image, *MAPS["delta-r"])
 
 
 def delta_middle(
     source: WordSource, a: int, n: int, max_horizon: int = DEFAULT_MAX_HORIZON
 ) -> Perm:
     """Doubled pattern with both end positions dropped: ``[2a+1, 2a+2n-1)``."""
-    return middle_restrict(delta(source, a, n, max_horizon).image)
+    return _restrict(delta(source, a, n, max_horizon).image, *MAPS["delta-m"])
 
 
 @dataclass(frozen=True)
@@ -373,6 +359,12 @@ class _BulkWindows:
     images: np.ndarray          # (W, 2n) via the class formula
     doubled_ranks: np.ndarray   # shift ranks of the doubled word over the scan
 
+    def direct(self, lead: int, trail: int) -> np.ndarray:
+        """Patterns of the doubled windows ``[2a+lead, 2a+2n-trail)`` for every
+        start ``a`` of the scan, ranked directly on the doubled word."""
+        starts = 2 * np.arange(self.window) + lead
+        return window_patterns(self.doubled_ranks, starts, 2 * self.n - lead - trail)
+
 
 def _bulk_windows(
     source: WordSource,
@@ -387,9 +379,8 @@ def _bulk_windows(
     bounds = _bounds_covering(source, scan_window + n)
     k = bounds.k
     letters = source.letters(scan_window + n + k)
-    starts = np.arange(scan_window)
     base_ranks = RankedWord.of(source, max_horizon).ranks(scan_window + n + k)
-    base_patterns = window_patterns(base_ranks, starts, n + k)
+    base_patterns = window_patterns(base_ranks, np.arange(scan_window), n + k)
     core_patterns = restrict_rows(base_patterns, 0, k)
 
     position_classes = _class_indices(letters, bounds.k0, bounds.k1, scan_window + n)
@@ -405,13 +396,7 @@ def _bulk_windows(
     window_letters = np.lib.stride_tricks.sliding_window_view(letters, n)[:scan_window]
     images = _images(core_patterns, classes, gamma, window_letters)
     doubled = RankedWord.of(_doubled_view(source), max_horizon)
-    doubled_ranks = doubled.ranks(2 * (scan_window + n))
-    if not np.array_equal(images, window_patterns(doubled_ranks, 2 * starts, 2 * n)):
-        raise AssertionError(
-            "doubling image formula disagrees with directly ranked doubled "
-            "windows; this is a bug"
-        )
-    return _BulkWindows(
+    bulk = _BulkWindows(
         n=n,
         bounds=bounds,
         window=scan_window,
@@ -421,8 +406,14 @@ def _bulk_windows(
         classes=classes,
         class_complete=(gamma > 0).all(axis=1),
         images=images,
-        doubled_ranks=doubled_ranks,
+        doubled_ranks=doubled.ranks(2 * (scan_window + n)),
     )
+    if not np.array_equal(images, bulk.direct(0, 0)):
+        raise AssertionError(
+            "doubling image formula disagrees with directly ranked doubled "
+            "windows; this is a bug"
+        )
+    return bulk
 
 
 @dataclass(frozen=True)
@@ -450,16 +441,16 @@ def verify_image_formulas(
     ranked directly on the doubled word, for every window start in
     ``[0, scan_window)``."""
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
-    starts = 2 * np.arange(scan_window)
     # _bulk_windows has asserted that the unrestricted images equal the
     # direct doubled windows, so only the restricted maps are ranked here.
-    mismatches = dict.fromkeys(MAPS, 0)
-    for name, (lead, trail) in MAPS.items():
-        if lead or trail:
-            derived = restrict_rows(bulk.images, lead, trail)
-            width = 2 * n - lead - trail
-            direct = window_patterns(bulk.doubled_ranks, starts + lead, width)
-            mismatches[name] = int((derived != direct).any(axis=1).sum())
+    mismatches = {
+        name: int(
+            (restrict_rows(bulk.images, *trim) != bulk.direct(*trim)).any(axis=1).sum()
+        )
+        if any(trim)
+        else 0
+        for name, trim in MAPS.items()
+    }
     return ImageFormulaCheck(
         source_spec=source.spec_string(),
         half_length=n,
@@ -484,8 +475,8 @@ class AuditReport:
     """Injectivity/surjectivity audit of one transfer map at one half-length.
 
     The domain is the set of distinct ``(n+k)``-patterns seen in the scan;
-    the image side is compared against the parity pattern sets of the doubled
-    word enumerated over the same scan, so both sides share one horizon.
+    the image side is compared against the doubled windows ranked directly
+    at the same starts, so both sides share one horizon.
     The structural fields check, on the full doubling images, that the left
     and right restrictions stay faithful, that no two images form a
     complementary pair of type 1, and that same-core windows whose final
@@ -561,14 +552,6 @@ def audit_map(
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
     image_rows = restrict_rows(bulk.images, lead, trail)
     image_length = image_rows.shape[1]
-    target = perm_set_parity(
-        _doubled_view(source),
-        image_length,
-        "odd" if lead else "even",
-        scan_window=2 * bulk.window,
-        saturate=False,
-        max_horizon=max_horizon,
-    )
 
     # First start of each distinct domain pattern.  The image must depend on
     # the pattern alone.
@@ -584,7 +567,7 @@ def audit_map(
         for a, b in combinations(reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
-    surjective = _unique_patterns(images) == target.members
+    surjective = _unique_patterns(images) == _unique_patterns(bulk.direct(lead, trail))
 
     # Structural checks on the distinct full doubling images.
     full = _distinct_rows(bulk.images[reps])
@@ -671,25 +654,15 @@ def check_bounds(
             f"{source.spec_string()} for length-{bounds.k} factors), got {n}"
         )
     k = bounds.k
+    doubled = _doubled_view(source)
     sets = [
-        perm_set(source, n + k, scan_window, saturate=True, max_horizon=max_horizon),
-        perm_set(
-            source, n + k + 1, scan_window, saturate=True, max_horizon=max_horizon
-        ),
-        perm_set(
-            _doubled_view(source),
-            2 * n - 1,
-            scan_window,
-            saturate=True,
-            max_horizon=max_horizon,
-        ),
-        perm_set(
-            _doubled_view(source),
-            2 * n,
-            scan_window,
-            saturate=True,
-            max_horizon=max_horizon,
-        ),
+        perm_set(word, length, scan_window, saturate=True, max_horizon=max_horizon)
+        for word, length in [
+            (source, n + k),
+            (source, n + k + 1),
+            (doubled, 2 * n - 1),
+            (doubled, 2 * n),
+        ]
     ]
     stale = [s for s in sets if not s.saturated]
     if stale:

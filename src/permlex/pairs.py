@@ -16,6 +16,7 @@ one-sided restrictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import DomainError, LengthMismatch, Unsaturated
 from .perms import (
@@ -163,9 +164,7 @@ def same_form_census(pattern_set: PermSet) -> CensusReport:
     for form in sorted(by_form):
         members = tuple(by_form[form])
         pair_types = tuple(
-            complementary_pair(members[i], members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
+            complementary_pair(p, q) for p, q in combinations(members, 2)
         )
         groups.append(FormGroup(form=form, members=members, pair_types=pair_types))
     return CensusReport(
@@ -245,14 +244,10 @@ def check_type_rule(
     pairs = 0
     violations = []
     for group in census.groups:
-        index = 0
-        for i in range(group.size):
-            for j in range(i + 1, group.size):
-                observed = group.pair_types[index]
-                index += 1
-                pairs += 1
-                if expected_type is None or observed != expected_type:
-                    violations.append((group.members[i], group.members[j]))
+        for pair, observed in zip(combinations(group.members, 2), group.pair_types):
+            pairs += 1
+            if expected_type is None or observed != expected_type:
+                violations.append(pair)
     return TypeRuleReport(
         length=pattern_set.n,
         expected_type=expected_type,

@@ -140,28 +140,27 @@ def restrict_rows(rows: np.ndarray, lead: int, trail: int) -> np.ndarray:
 
 
 def _restrict(p: Perm, lead: int, trail: int) -> Perm:
+    if len(p) <= lead + trail:
+        raise LengthTooSmall(
+            f"trimming {lead} + {trail} entries from a length-{len(p)} pattern "
+            "leaves nothing"
+        )
     return tuple(restrict_rows(np.array([p]), lead, trail)[0].tolist())
 
 
 def left_restrict(p: Perm) -> Perm:
     """Forget the last entry and renumber: the pattern of the window minus
     its right endpoint."""
-    if len(p) < 2:
-        raise LengthTooSmall("left restriction needs length at least 2")
     return _restrict(p, 0, 1)
 
 
 def right_restrict(p: Perm) -> Perm:
     """Forget the first entry and renumber."""
-    if len(p) < 2:
-        raise LengthTooSmall("right restriction needs length at least 2")
     return _restrict(p, 1, 0)
 
 
 def middle_restrict(p: Perm) -> Perm:
     """Forget both end entries and renumber."""
-    if len(p) < 3:
-        raise LengthTooSmall("middle restriction needs length at least 3")
     return _restrict(p, 1, 1)
 
 
@@ -169,8 +168,6 @@ def left_restrict_k(p: Perm, k: int) -> Perm:
     """k-fold left restriction (k = 0 returns the pattern unchanged)."""
     if k < 0:
         raise DomainError("restriction count must be nonnegative")
-    if len(p) < k + 1:
-        raise LengthTooSmall(f"cannot left-restrict a length-{len(p)} pattern {k} times")
     return _restrict(p, 0, k)
 
 

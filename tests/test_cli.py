@@ -120,6 +120,20 @@ def test_delta_traces_the_golden_window(capsys):
     assert "gamma       = (1 3 2 1)" in out
 
 
+def test_delta_resolves_only_the_horizon(capsys, monkeypatch):
+    # delta ranks one window and scans nothing: the scan-window variable is
+    # not read, and the flag is not accepted.
+    monkeypatch.setenv("PERMLEX_SCAN_WINDOW", "many")
+    argv = ["delta", "--word", "thue-morse", "--start", "0", "--count", "7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "delta-thue-morse-0-7.txt").read_text()
+    code, out, err = run(capsys, *argv, "--scan-window", "-5")
+    assert code == 1
+    assert out == ""
+    assert "--scan-window" in err
+
+
 def test_delta_missing_class_is_a_domain_error(capsys):
     code, _, err = run(
         capsys, "delta", "--word", "thue-morse", "--start", "10", "--count", "7"

@@ -33,6 +33,7 @@ from permlex import (
     thue_morse_source,
     verify_image_formulas,
 )
+from permlex.doubling import MAPS
 
 GOLDEN_IMAGE = (5, 8, 14, 13, 12, 10, 3, 6, 11, 9, 1, 2, 4, 7)
 
@@ -189,9 +190,14 @@ def test_audit_fibonacci_is_injective(fib):
         assert rep.injective and rep.surjective
 
 
-def test_audit_image_size_matches_parity_enumeration(tm, dtm):
-    rep = audit_map(tm, "delta", 9)
-    assert rep.image_size == perm_set_parity(dtm, 18, "even").count
+@pytest.mark.parametrize("n", [9, 17])
+@pytest.mark.parametrize("map_name", list(MAPS))
+def test_audit_image_size_matches_parity_enumeration(tm, dtm, map_name, n):
+    lead, trail = MAPS[map_name]
+    rep = audit_map(tm, map_name, n)
+    assert rep.surjective
+    parity = "odd" if lead else "even"
+    assert rep.image_size == perm_set_parity(dtm, 2 * n - lead - trail, parity).count
 
 
 def test_audit_rejects_unknown_map(tm):

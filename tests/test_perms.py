@@ -245,6 +245,10 @@ def test_restriction_length_guards():
         left_restrict((1,))
     with pytest.raises(LengthTooSmall):
         middle_restrict((1, 2))
+    with pytest.raises(LengthTooSmall):
+        right_restrict((1,))
+    with pytest.raises(LengthTooSmall):
+        left_restrict_k((1, 2), 2)
 
 
 # -- pattern-set enumeration ----------------------------------------------------
