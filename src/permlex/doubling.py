@@ -17,9 +17,10 @@ the bare window, i.e. the k-fold left restriction of the window extended k
 positions right.
 
 One routine evaluates the formula on any number of windows.  The scalar
-entry points (``class_profile``, ``delta`` and friends) call it on a single
-window; ``audit_map``/``verify_image_formulas`` call it on every window of a
-scan and compare against patterns computed directly on the doubled word.
+entry points call it on a single window (``class_profile``, ``delta`` and
+friends) or pair of positions (``doubling_order_case``); ``audit_map`` and
+``verify_image_formulas`` call it on every window of a scan and compare
+against patterns computed directly on the doubled word.
 ``MAPS`` defines the four transfer maps by the entries each trims from the
 doubled window, and drives both paths: ``delta_left``/``delta_right``/
 ``delta_middle`` trim one image by it, the bulk path trims every image row.
@@ -139,7 +140,8 @@ def _images(
     ``core``, ``classes`` and ``letters`` are ``(W, n)``: each window's core
     pattern, and the run class and letter (0 or 1) of each of its positions.
     ``gamma`` is ``(W, k0 + k1)``, each window's class sizes.  Returns the
-    ``(W, 2n)`` patterns of the doubled windows.
+    ``(W, 2n)`` patterns of the doubled windows.  A row is a window, or the
+    pair ``doubling_order_case`` orders, taken as a window with core (1, 2).
     """
     rows = np.arange(core.shape[0])[:, None]
     through = np.cumsum(gamma, axis=1)[rows, classes] + core
@@ -320,23 +322,20 @@ def doubling_order_case(
             "class ladder out of order for lexicographically ordered shifts; "
             "this is a bug"
         )
-    if letter_a == 0 and letter_b == 0:
-        if class_a < class_b:
-            label, chain = "a", (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
-        else:
-            label, chain = "b", (2 * a, 2 * b, 2 * a + 1, 2 * b + 1)
-    elif letter_a == 0 and letter_b == 1:
-        label, chain = "c", (2 * a, 2 * a + 1, 2 * b + 1, 2 * b)
-    else:
-        if class_a < class_b:
-            label, chain = "d", (2 * a + 1, 2 * a, 2 * b + 1, 2 * b)
-        else:
-            label, chain = "e", (2 * a + 1, 2 * b + 1, 2 * a, 2 * b)
+    # The pair is a window with core (1, 2); the formula ranks its copies.
+    classes, pair = np.array([[class_a, class_b]]), np.array([[letter_a, letter_b]])
+    gamma = np.bincount(classes[0], minlength=bounds.num_classes)[None]
+    image = _images(np.array([[1, 2]]), classes, gamma, pair)
+    copies = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
+    chain = tuple(x for _, x in sorted(zip(image[0].tolist(), copies)))
+    # Doubled shifts agree on twice as many letters as the base shifts they
+    # copy, so the direct check needs twice the base lookahead.
     doubled = _doubled_view(source)
     holds = all(
-        compare_shifts(doubled, x, y, max_horizon)[0] == LESS
+        compare_shifts(doubled, x, y, 2 * max_horizon)[0] == LESS
         for x, y in zip(chain, chain[1:])
     )
+    label = "abcde"[letter_a + 2 * letter_b + (class_a == class_b)]
     return OrderCase(label=label, chain=chain, holds=holds)
 
 

@@ -32,9 +32,6 @@ class Decomposition:
     rem: int
     flavor: str
 
-    def recompose(self) -> int:
-        return (1 << self.r) + self.rem + (1 if self.flavor == "shifted" else 0)
-
 
 def decompose_strict(n: int) -> Decomposition:
     """n = 2^r + rem with 0 < rem <= 2^r."""
@@ -202,8 +199,7 @@ def formula_for(source: WordSource, n: int) -> int | None:
 
     Complements are transparent (complementing a binary word preserves its
     pattern counts).  For doubled Sturmian words the formula is only claimed
-    from twice the inner word's recurrence bound, a conservative onset; the
-    inner source keeps its ``(k, onset)`` so a sweep certifies it once.
+    from twice the inner word's recurrence bound, a conservative onset.
     """
     while isinstance(source, ComplementSource):
         source = source.inner
@@ -216,10 +212,8 @@ def formula_for(source: WordSource, n: int) -> int | None:
         while isinstance(inner, ComplementSource):
             inner = inner.inner
         if isinstance(inner, SturmianSource):
-            if inner._doubled_formula is None:
-                k = run_bounds(inner).k
-                inner._doubled_formula = (k, 2 * recurrence_bound(inner, k))
-            k, onset = inner._doubled_formula
+            k = run_bounds(inner).k
+            onset = 2 * recurrence_bound(inner, k)
             return doubled_sturmian_tau(n, k) if n >= onset else None
         if isinstance(inner, MorphicSource) and inner.is_thue_morse():
             return doubled_tm_tau(n) if n >= 17 else None

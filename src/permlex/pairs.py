@@ -48,29 +48,26 @@ class TypeDecomposition:
         return self.beta + self.middle + self.alpha
 
 
+def _offset(p: Perm, k: int) -> int | None:
+    """The type-k rule: the one ``e`` in {-1, +1} with ``p[i] == p[-k+i] + e``
+    for every ``i < k``, or None if there is none."""
+    offsets = {p[i] - p[len(p) - k + i] for i in range(k)}
+    return offsets.pop() if len(offsets) == 1 and offsets <= {-1, 1} else None
+
+
 def types_of(p: Perm) -> tuple[TypeDecomposition, ...]:
     """All type decompositions of ``p``, smallest k first.
 
     The two end blocks may not overlap, so k ranges over 1..len(p)//2; the
     middle may be empty.
     """
-    if len(p) < 2:
-        return ()
-    found = []
-    for k in range(1, len(p) // 2 + 1):
-        alpha, middle, beta = p[:k], p[k:-k], p[len(p) - k :]
-        offsets = {alpha[i] - beta[i] for i in range(k)}
-        if len(offsets) == 1 and offsets <= {-1, 1}:
-            found.append(
-                TypeDecomposition(
-                    k=k,
-                    epsilon=next(iter(offsets)),
-                    alpha=alpha,
-                    middle=middle,
-                    beta=beta,
-                )
-            )
-    return tuple(found)
+    return tuple(
+        TypeDecomposition(
+            k=k, epsilon=e, alpha=p[:k], middle=p[k:-k], beta=p[len(p) - k :]
+        )
+        for k in range(1, len(p) // 2 + 1)
+        if (e := _offset(p, k)) is not None
+    )
 
 
 def complementary_pair(p: Perm, q: Perm) -> int | None:
@@ -89,11 +86,7 @@ def complementary_pair(p: Perm, q: Perm) -> int | None:
     if p == q:
         return 0
     for k in range(len(p) // 2, 0, -1):
-        alpha, middle, beta = p[:k], p[k:-k], p[len(p) - k :]
-        if q != beta + middle + alpha:
-            continue
-        offsets = {alpha[i] - beta[i] for i in range(k)}
-        if len(offsets) == 1 and offsets <= {-1, 1}:
+        if q == p[len(p) - k :] + p[k:-k] + p[:k] and _offset(p, k) is not None:
             return k
     return None
 

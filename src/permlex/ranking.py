@@ -10,17 +10,15 @@ raise ``PrefixTooShort``, since no further letter can order them.
 
 ``rank_span`` is the one horizon loop.  It ranks a span of shifts of a
 source, doubling the horizon up to a limit and reading letters only as far
-as the source supplies them.  Its two callers are :class:`RankedWord`, which
-keeps one growing table of global ranks per word for bulk enumeration, and
-``perms.subpermutation``, which ranks the shifts of a single window.  A
-table that ranks P shifts gives the order of every shorter prefix of
-positions, so a request no larger than the table is a slice, and a larger
-one at least doubles the table.
+as the source supplies them.  Its two callers are :class:`RankedWord`, a
+view that grows the one table of global ranks a source owns as plain data
+(``WordSource._ranks``), and ``perms.subpermutation``, which ranks the
+shifts of a single window.  A table that ranks P shifts gives the order of
+every shorter prefix of positions, so a request no larger than the table is
+a slice, and a larger one at least doubles the table.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -118,42 +116,35 @@ def rank_span(
 
 
 class RankedWord:
-    """One growing table of global shift ranks for a word source.
+    """A view of the growing table of global shift ranks ``source`` owns.
 
     A table that ranks P shifts serves every request for at most P.  A larger
     request ranks at least twice the positions already held, so a sweep over
-    growing lengths ranks O(log n) times rather than once per request.  Use
-    :meth:`of` to share one table per source.
+    growing lengths ranks O(log n) times rather than once per request.  Each
+    view's ``max_horizon`` governs only the growth that view asks for.
     """
 
     def __init__(self, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON):
         self.source = source
         self.max_horizon = int(max_horizon)
-        self._count = 0
-        self._ranks = np.empty(0, dtype=np.int64)
 
     @classmethod
     def of(
         cls, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON
     ) -> "RankedWord":
-        """The table owned by ``source``; it sees its source through a weak
-        proxy, so the pair forms no reference cycle.  Ranks are exact orders
-        whatever horizon found them, so one table serves every horizon; the
-        latest ``max_horizon`` governs how it grows."""
-        if source._ranker is None:
-            source._ranker = cls(weakref.proxy(source))
-        source._ranker.max_horizon = int(max_horizon)
-        return source._ranker
+        """A view of the table owned by ``source``."""
+        return cls(source, max_horizon)
 
     def ranks(self, positions: int) -> np.ndarray:
         """Global ranks of shifts ``0..positions-1``, growing on demand."""
-        if positions <= self._count:
-            return self._ranks[:positions]
+        held = self.source._ranks
+        if positions <= held.size:
+            return held[:positions]
         # Aperiodic binary words separate positions a < b < P well within a
         # small multiple of P letters, so start past the configured horizon
         # and double a few times before declaring the word periodic-looking.
         limit = max(16 * positions, 4 * self.max_horizon)
-        grown = max(positions, 2 * self._count)
+        grown = max(positions, 2 * held.size)
         try:
             got = self._rank(grown, limit)
         except PermlexError:
@@ -163,8 +154,7 @@ class RankedWord:
                 raise
             got = self._rank(positions, limit)
         got.setflags(write=False)
-        self._ranks = got
-        self._count = got.size
+        self.source._ranks = got
         return got[:positions]
 
     def _rank(self, positions: int, limit: int) -> np.ndarray:

@@ -54,11 +54,11 @@ class WordSource:
         self.hard_limit = int(hard_limit)
         self._prefix = np.empty(0, dtype=np.int8)
         self._prefix.setflags(write=False)
-        # Caches owned by the source.  Helpers keep only weak references
-        # back to it, so a dropped source is freed without the cycle collector.
-        self._ranker = None            # ranking.RankedWord.of
+        # Caches owned by the source, held as plain data.  The doubled twin
+        # is the one helper that points back, and it does so weakly, so a
+        # dropped source is freed without the cycle collector.
+        self._ranks = np.empty(0, dtype=np.int64)  # ranking.RankedWord
         self._doubled_twin = None      # doubling._doubled_view
-        self._doubled_formula = None   # formulas.formula_for: (k, onset)
         self._run_scan = _RunScan()    # words.run_bounds
 
     # -- subclass interface -------------------------------------------------
@@ -448,11 +448,13 @@ def recurrence_bound(
     if eff < 2 * k:
         raise PrefixTooShort(f"window of {eff} letters is too short for k={k}")
     w = source.letters(eff).astype(np.int64)
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    codes = np.lib.stride_tricks.sliding_window_view(w, k) @ weights
-    # Factor starts grouped by factor, each group in position order.
-    order = np.argsort(codes, kind="stable")
-    first = np.r_[True, codes[order[1:]] != codes[order[:-1]]]
+    windows = np.lib.stride_tricks.sliding_window_view(w, k)
+    # Each factor is keyed exactly by one int64 code per chunk of at most 62
+    # letters.  Factor starts grouped by factor, each group in position order.
+    weights = 1 << (61 - np.arange(k, dtype=np.int64) % 62)
+    codes = [windows[:, i : i + 62] @ weights[i : i + 62] for i in range(0, k, 62)]
+    order = np.lexsort(codes[::-1])
+    first = np.r_[True, np.any([np.diff(c[order]) != 0 for c in codes], axis=0)]
     last = np.r_[first[1:], True]
     if order[first].max() >= eff // 2 - k + 1:
         raise Unsaturated(
@@ -469,7 +471,7 @@ def recurrence_bound(
     # occurrences, so the smallest covering span is the largest such gap.
     span = max(
         order[first].max() + 1,
-        codes.size - order[last].min(),
+        order.size - order[last].min(),
         np.diff(order)[~first[1:]].max(),
     )
     return int(span) + k - 1

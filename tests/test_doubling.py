@@ -146,6 +146,16 @@ def test_order_case_chain_is_sorted_in_doubled_word(tm, dtm):
             assert compare_shifts(dtm, x, y)[0] == LESS
 
 
+def test_order_case_checks_doubled_shifts_with_doubled_lookahead(fib):
+    # The base shifts separate at offset 2582, within the default lookahead
+    # of 4096; their doubled copies agree twice as long.
+    assert compare_shifts(fib, 1597, 0) == (LESS, 2582)
+    case = doubling_order_case(fib, 1597, 0)
+    assert case.label == "b"
+    assert case.chain == (3194, 0, 3195, 1)
+    assert case.holds
+
+
 def test_order_case_requires_increasing_shifts(tm):
     with pytest.raises(DomainError):
         doubling_order_case(tm, 0, 3)
@@ -249,8 +259,8 @@ def test_bounds_need_saturated_enumerations():
 
 @pytest.mark.parametrize("build", [thue_morse_source, fibonacci_source])
 def test_dropped_source_is_freed_without_the_cycle_collector(build):
-    # Rank tables and the doubled twin are owned by the source and point back
-    # to it only weakly, so reference counting alone frees all of them.
+    # Rank tables are plain data on the source, and the doubled twin points
+    # back to it only weakly, so reference counting alone frees all of them.
     gc.disable()
     try:
         source = build()

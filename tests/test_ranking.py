@@ -122,9 +122,21 @@ def _grown_then_fresh(build, requests, positions):
 
 def test_ranked_word_grows_its_table_geometrically():
     ranked, got, fresh = _grown_then_fresh(thue_morse_source, [1000, 1500], 1200)
-    assert ranked._count == 2000
+    assert ranked.source._ranks.size == 2000
     assert got.size == 1200
     assert _dense(got) == _dense(fresh)
+
+
+def test_ranked_words_are_views_of_the_table_their_source_owns():
+    source = thue_morse_source()
+    deep = RankedWord.of(source, 65536)
+    shallow = RankedWord.of(source)
+    # A later view with its own lookahead leaves the earlier one's alone.
+    assert deep.max_horizon == 65536
+    assert shallow.max_horizon == 4096
+    first, second = deep.ranks(300), shallow.ranks(200)
+    assert np.shares_memory(first, second)
+    assert np.array_equal(first[:200], second)
 
 
 @settings(max_examples=30, deadline=None)

@@ -327,6 +327,11 @@ def test_recurrence_bound_values(tm, fib):
         assert recurrence_bound(source, k, window_len=300) == _naive_recurrence(
             text, k
         )
+    # Factors longer than one 64-bit code: those differing only in their
+    # first k - 64 letters must stay apart.
+    assert recurrence_bound(tm, 70, window_len=16384) == 645
+    text = "1" + "0" * 64 + "1" + ("0" * 65 + "1") * 3
+    assert recurrence_bound(explicit_source(text), 65) == _naive_recurrence(text, 65)
 
 
 def test_recurrence_bound_saturation_guard():
