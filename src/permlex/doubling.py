@@ -26,7 +26,7 @@ doubled window, and drives both paths: ``delta_left``/``delta_right``/
 ``delta_middle`` trim one image by it, the bulk path trims every image row.
 ``_BulkWindows.direct`` is the one routine that ranks doubled windows
 directly, for the formula check, ``verify_image_formulas`` and the
-surjectivity side of ``audit_map``.
+surjectivity side of ``audit_map`` on the trimmed maps.
 """
 
 from __future__ import annotations
@@ -566,7 +566,10 @@ def audit_map(
         for a, b in combinations(reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
-    surjective = _unique_patterns(images) == _unique_patterns(bulk.direct(lead, trail))
+    # Untrimmed, the direct doubled windows are the rows _bulk_windows ranked
+    # and asserted equal to the images; only a trimmed map ranks again.
+    direct = image_rows if (lead, trail) == (0, 0) else bulk.direct(lead, trail)
+    surjective = _unique_patterns(images) == _unique_patterns(direct)
 
     # Structural checks on the distinct full doubling images.
     full = _distinct_rows(bulk.images[reps])

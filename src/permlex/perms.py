@@ -6,9 +6,10 @@ lexicographic order.  Patterns are plain tuples of ints.
 
 One ranking engine (``ranking.rank_span``) computes patterns on both paths:
 ``subpermutation`` ranks the shifts of one window under a strict comparison
-horizon, and the bulk path (``perm_set``) slices every window of a large scan
-out of the word's one rank table.  ``compare_shifts`` orders a single pair
-and names the offset where the two shifts first differ.
+horizon, and the bulk path (``perm_set``) slices windows of a large scan out
+of the word's one rank table, one window per distinct factor of length n+H
+(H the separation depth, ``ranking.separation_depth``).  ``compare_shifts``
+orders a single pair and names the offset where the two shifts first differ.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from .errors import (
     PrefixTooShort,
     WrongSource,
 )
-from .ranking import DEFAULT_MAX_HORIZON, RankedWord, rank_span, window_patterns
+from .ranking import (
+    DEFAULT_MAX_HORIZON,
+    RankedWord,
+    rank_span,
+    separation_depth,
+    window_patterns,
+)
 from .words import DoubledSource, WordSource
 
 Perm = tuple[int, ...]
@@ -204,12 +211,25 @@ def _pattern_rows(
     parity: str | None,
     max_horizon: int,
 ) -> np.ndarray:
-    """Patterns of the windows starting in ``[lo, hi)`` (of one parity)."""
+    """Patterns of the windows starting in ``[lo, hi)`` (of one parity), one
+    row per distinct factor ``w[a, a+n+H)``, H the separation depth: that
+    factor fixes the window's pattern."""
     global_ranks = RankedWord.of(source, max_horizon).ranks(hi + n)
     starts = np.arange(lo, hi)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
-    return window_patterns(global_ranks, starts, n)
+    span = n + separation_depth(source, n)
+    # A start whose factor would run past the end of the word stands alone.
+    cut = np.searchsorted(starts, source.max_available() - span, side="right")
+    reps = starts[cut:]
+    if cut:
+        keyed = starts[:cut]
+        factors = np.lib.stride_tricks.sliding_window_view(
+            source.letters(int(keyed[-1]) + span), span
+        )[keyed]
+        first = np.unique(_row_keys(np.packbits(factors, axis=1)), return_index=True)[1]
+        reps = np.concatenate([keyed[first], reps])
+    return window_patterns(global_ranks, reps, n)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -16,6 +16,10 @@ view that grows the one table of global ranks a source owns as plain data
 shifts of a single window.  A table that ranks P shifts gives the order of
 every shorter prefix of positions, so a request no larger than the table is
 a slice, and a larger one at least doubles the table.
+
+``separation_depth`` reads how far ranked shifts less than n apart agree,
+from a second table the source owns (``WordSource._agreement``), which grows
+with the rank table.
 """
 
 from __future__ import annotations
@@ -160,6 +164,59 @@ class RankedWord:
     def _rank(self, positions: int, limit: int) -> np.ndarray:
         horizon = max(self.max_horizon, 2 * positions)
         return rank_span(self.source, 0, positions, horizon, limit)
+
+
+def separation_depth(source: WordSource, n: int) -> int:
+    """The separation depth H(n): the longest agreement of two shifts less
+    than ``n`` apart among the shifts ``source`` has ranked.
+
+    Comparing two shifts of a window ``[a, a+n)`` reads letters only up to
+    their first difference, so the window's pattern is fixed by the factor
+    ``w[a, a+n+H)``.  The table behind this is plain data on the source:
+    ``_agreement[d]`` is the longest run of ``w[i] == w[i+d]`` starting at
+    some ``i`` with ``i + d < _agreement_over``, the size of the rank table
+    it was taken over.  When the rank table has grown, the runs are taken
+    again over all of it; when ``n`` outgrows the table, it gains at least as
+    many distances as it holds.  A depth over a longer prefix is a safe
+    overestimate for a shorter one.
+    """
+    held, over = source._agreement, source._ranks.size
+    kept = held if source._agreement_over == over else held[:1]
+    size = held.size if n <= held.size else max(n, 2 * held.size)
+    if kept.size < size:
+        # Both shifts of every counted pair are ranked, so they differ before
+        # the word ends: read past the ranked shifts only until runs end.
+        end = source.max_available()
+        w = source.letters(min(over + size + 64, end))
+        fresh = []
+        for d in range(kept.size, size):
+            run = _longest_agreement(w, d, over)
+            while run is None:
+                if w.size == end:
+                    raise AssertionError(
+                        f"ranked shifts {d} apart agree until the word ends; "
+                        "this is a bug"
+                    )
+                w = source.letters(min(2 * w.size, end))
+                run = _longest_agreement(w, d, over)
+            fresh.append(run)
+        source._agreement = np.concatenate([kept, np.array(fresh, dtype=np.int64)])
+        source._agreement_over = over
+    return int(source._agreement[:n].max())
+
+
+def _longest_agreement(w: np.ndarray, d: int, positions: int) -> int | None:
+    # Longest run of w[i] == w[i+d] starting at some i < positions - d, or
+    # None when the last of those runs does not end within ``w``.
+    if d >= positions:
+        return 0
+    breaks = np.flatnonzero(w[: w.size - d] != w[d:])
+    last = np.searchsorted(breaks, positions - d - 1)
+    if last == breaks.size:
+        return None
+    ends = breaks[: last + 1]
+    # The first run ends at the first break, each later one at the next.
+    return max(int(ends[0]), int((ends[1:] - ends[:-1]).max(initial=1)) - 1)
 
 
 def window_patterns(

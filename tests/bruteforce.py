@@ -69,3 +69,16 @@ def naive_left(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def naive_right(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v - 1 if v > p[0] else v for v in p[1:])
+
+
+def naive_separation_depth(w: str, n: int, lo: int, hi: int) -> int:
+    """Longest common prefix of two shifts starting in ``[lo, hi)`` less than
+    ``n`` apart; the word must be long enough to contain every difference."""
+    depth = 0
+    for a in range(lo, hi):
+        for b in range(a + 1, min(a + n, hi)):
+            c = 0
+            while w[a + c] == w[b + c]:
+                c += 1
+            depth = max(depth, c)
+    return depth

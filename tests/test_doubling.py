@@ -33,6 +33,7 @@ from permlex import (
     thue_morse_source,
     verify_image_formulas,
 )
+from permlex import doubling
 from permlex.doubling import MAPS
 
 GOLDEN_IMAGE = (5, 8, 14, 13, 12, 10, 3, 6, 11, 9, 1, 2, 4, 7)
@@ -208,6 +209,24 @@ def test_audit_image_size_matches_parity_enumeration(tm, dtm, map_name, n):
     assert rep.surjective
     parity = "odd" if lead else "even"
     assert rep.image_size == perm_set_parity(dtm, 2 * n - lead - trail, parity).count
+
+
+@pytest.mark.parametrize("map_name", list(MAPS))
+def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
+    lengths = []
+    sort = doubling.window_patterns
+
+    def counting(ranks, starts, n):
+        lengths.append(n)
+        return sort(ranks, starts, n)
+
+    monkeypatch.setattr(doubling, "window_patterns", counting)
+    lead, trail = MAPS[map_name]
+    audit_map(tm, map_name, 9)
+    # The base windows (k = 2), the doubled windows the formula is checked
+    # against, and the trimmed doubled windows of a trimmed map.
+    trimmed = [18 - lead - trail] if lead or trail else []
+    assert lengths == [11, 18, *trimmed]
 
 
 def test_audit_rejects_unknown_map(tm):

@@ -29,13 +29,16 @@ from permlex import (
     perm_set,
     perm_set_parity,
     right_restrict,
+    sturmian_characteristic,
     subpermutation,
     thue_morse_source,
     window_patterns,
 )
+from permlex import perms as perms_module
 from permlex import ranking
 from permlex.doubling import MAPS
 from permlex.perms import restrict_rows
+from permlex.ranking import separation_depth
 
 from bruteforce import (
     naive_cmp,
@@ -44,6 +47,8 @@ from bruteforce import (
     naive_left,
     naive_perm_set,
     naive_right,
+    naive_separation_depth,
+    naive_sturmian,
     naive_subperm,
     naive_thue_morse,
 )
@@ -289,6 +294,16 @@ def test_parity_needs_doubled_source(tm):
         perm_set_parity(double(tm), 8, "sideways")
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perm_set_on_finite_and_periodic_words_raises_from_ranking(n):
+    # The 33-letter word repeats with period 4 until it ends, so the shifts
+    # 4 apart agree until the end; the periodic word never separates them.
+    with pytest.raises(PrefixTooShort):
+        perm_set(explicit_source(_FINITE), n, scan_window=4)
+    with pytest.raises(HorizonExhausted):
+        perm_set(MorphicSource({0: (0, 1), 1: (0, 1)}), n, scan_window=4)
+
+
 def test_perm_set_reports_unsaturated_on_short_words():
     # 250 letters rank the first 64-window but not the doubling retry,
     # so the count can never be confirmed stable.
@@ -386,3 +401,112 @@ def test_sweep_ranks_each_word_a_few_times(monkeypatch):
     for n in range(2, 65):
         assert perm_set(source, n).saturated
     assert len(calls) <= 8
+
+
+# -- factor representatives ------------------------------------------------------
+
+#: Infinite words with their string oracles; sturmian:3,1 has a large
+#: separation depth for its window lengths.
+_FACTOR_WORDS = {
+    "tm": (thue_morse_source, _ORACLE_WORDS["tm"]),
+    "fib": (fibonacci_source, _ORACLE_WORDS["fib"]),
+    "st31": (
+        lambda: sturmian_characteristic((3, 1)),
+        lambda m: naive_sturmian((3, 1), m),
+    ),
+    "dtm": (lambda: double(thue_morse_source()), _ORACLE_WORDS["dtm"]),
+    "dfib": (lambda: double(fibonacci_source()), _ORACLE_WORDS["dfib"]),
+}
+
+_FACTOR_WORD = st.one_of(
+    st.sampled_from(sorted(_FACTOR_WORDS)), st.text("01", min_size=1, max_size=48)
+)
+
+
+def _word(word):
+    """A fresh source, and a function of m giving the first m letters of an
+    infinite word or all of a finite one."""
+    if word in _FACTOR_WORDS:
+        build, text = _FACTOR_WORDS[word]
+        return build(), text
+    return explicit_source(word), lambda m: word
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    word=_FACTOR_WORD,
+    requests=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=40), _SCAN_WINDOWS),
+        min_size=1,
+        max_size=4,
+    ),
+)
+# The deepest pair, shifts 10 and 11, is the last pair of ranked shifts.
+@example(word="01010101010000001", requests=[(2, 10)])
+# Shifts 91 and 115 agree on 113 letters, past the letters the table first
+# reads, so it reads on.
+@example(word="st31", requests=[(25, 100)])
+def test_separation_depth_matches_naive(word, requests):
+    # Each request ranks the shifts a scan needs, as enumeration does, then
+    # reads H(n); the table grows in prefix and in distance across requests.
+    source, text = _word(word)
+    for n, scan_window in requests:
+        try:
+            RankedWord.of(source).ranks(scan_window + n)
+        except PermlexError:
+            continue
+        depth = separation_depth(source, n)
+        if n == 1:
+            assert depth == 0  # a window of one shift compares nothing
+            continue
+        over = source._agreement_over
+        assert over == source._ranks.size >= scan_window + n
+        assert source._agreement.size >= n
+        assert depth == naive_separation_depth(text(4 * over + 512), n, 0, over)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    word=_FACTOR_WORD,
+    n=st.integers(min_value=1, max_value=40),
+    scan_window=_SCAN_WINDOWS,
+    warm=st.integers(min_value=0, max_value=2000),
+)
+# The last start's factor w[a, a+n+H) runs past the end of this 17-letter word.
+@example(word="01001000001011110", n=11, scan_window=4, warm=0)
+def test_factor_representatives_give_the_naive_pattern_set(
+    word, n, scan_window, warm
+):
+    # ``warm`` ranks a longer prefix first, so H is taken over more shifts
+    # than the scan holds: an overestimate, which must change nothing.
+    source, text = _word(word)
+    if word in _FACTOR_WORDS and warm:
+        RankedWord.of(source).ranks(warm)
+        separation_depth(source, 2 * n)
+    try:
+        ps = perm_set(source, n, scan_window=scan_window, saturate=False)
+    except PermlexError as exc:
+        # Errors come from ranking the scan, as they would without grouping.
+        with pytest.raises(type(exc)):
+            RankedWord(_word(word)[0]).ranks(scan_window + n)
+        return
+    naive = naive_perm_set(text(8 * (scan_window + n) + 512), n, scan_window)
+    assert ps.members == naive
+
+
+def test_enumeration_sorts_one_window_per_distinct_factor(monkeypatch):
+    rows = []
+    sort = perms_module.window_patterns
+
+    def counting(ranks, starts, n):
+        rows.append(len(starts))
+        return sort(ranks, starts, n)
+
+    monkeypatch.setattr(perms_module, "window_patterns", counting)
+    source = double(thue_morse_source())
+    scanned = 0
+    for n in range(2, 130, 8):
+        ps = perm_set(source, n)
+        assert ps.saturated
+        scanned += ps.scan_window  # the rounds scan [0, w) and [w, 2w)
+    assert 8 * sum(rows) <= scanned
