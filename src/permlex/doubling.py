@@ -19,8 +19,12 @@ positions right.
 One routine evaluates the formula on any number of windows.  The scalar
 entry points call it on a single window (``class_profile``, ``delta`` and
 friends) or pair of positions (``doubling_order_case``); ``audit_map`` and
-``verify_image_formulas`` call it on every window of a scan and compare
-against patterns computed directly on the doubled word.
+``verify_image_formulas`` call it on a scan and compare against patterns
+computed directly on the doubled word.  Everything a scan window feeds the
+formula and the direct ranking is a function of a base factor starting at
+it, so ``_bulk_windows`` groups the scan's starts by that factor
+(``perms._factor_groups``, as enumeration does) and works on one row per
+distinct factor, weighted by the starts that share it.
 ``MAPS`` defines the four transfer maps by the entries each trims from the
 doubled window, and drives both paths: ``delta_left``/``delta_right``/
 ``delta_middle`` trim one image by it, the bulk path trims every image row.
@@ -44,6 +48,7 @@ from .perms import (
     LESS,
     Perm,
     _distinct_rows,
+    _factor_groups,
     _restrict,
     _row_keys,
     _unique_patterns,
@@ -53,7 +58,12 @@ from .perms import (
     restrict_rows,
     subpermutation,
 )
-from .ranking import DEFAULT_MAX_HORIZON, RankedWord, window_patterns
+from .ranking import (
+    DEFAULT_MAX_HORIZON,
+    RankedWord,
+    separation_depth,
+    window_patterns,
+)
 from .words import (
     DEFAULT_FACTOR_WINDOW,
     RunBounds,
@@ -344,24 +354,31 @@ def doubling_order_case(
 
 @dataclass(frozen=True)
 class _BulkWindows:
-    """Per-window data for every start in ``[0, window)``: patterns, classes,
-    formula images, and the doubled word's ranks they were checked against."""
+    """Per-factor data for the scan starts ``[0, window)``: patterns, classes,
+    formula images, and the doubled word's ranks they were checked against.
+
+    Row i stands for the ``weights[i]`` scan starts that share the base
+    factor of ``starts[i]``, their first; every per-window value below is a
+    function of that factor (see ``_bulk_windows``).
+    """
 
     n: int
     bounds: RunBounds
     window: int
     letters: np.ndarray         # base letters covering the scan
-    base_patterns: np.ndarray   # (W, n+k)
-    core_patterns: np.ndarray   # (W, n)
-    classes: np.ndarray         # (W, n)
-    class_complete: np.ndarray  # (W,) every class inhabited
-    images: np.ndarray          # (W, 2n) via the class formula
+    starts: np.ndarray          # (F,) first start of each distinct factor, ascending
+    weights: np.ndarray         # (F,) scan starts sharing that factor
+    base_patterns: np.ndarray   # (F, n+k)
+    core_patterns: np.ndarray   # (F, n)
+    classes: np.ndarray         # (F, n)
+    class_complete: np.ndarray  # (F,) every class inhabited
+    images: np.ndarray          # (F, 2n) via the class formula
     doubled_ranks: np.ndarray   # shift ranks of the doubled word over the scan
 
     def direct(self, lead: int, trail: int) -> np.ndarray:
         """Patterns of the doubled windows ``[2a+lead, 2a+2n-trail)`` for every
-        start ``a`` of the scan, ranked directly on the doubled word."""
-        starts = 2 * np.arange(self.window) + lead
+        row's start ``a``, ranked directly on the doubled word."""
+        starts = 2 * self.starts + lead
         return window_patterns(self.doubled_ranks, starts, 2 * self.n - lead - trail)
 
 
@@ -371,6 +388,20 @@ def _bulk_windows(
     scan_window: int,
     max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> _BulkWindows:
+    """Group the scan starts by base factor and evaluate the formula and the
+    direct ranking once per group.
+
+    The factor ``w[a, a+L)`` fixes everything a row holds.  Two shifts of the
+    base window ``[a, a+n+k)`` agree on at most H = H(n+k) letters (the
+    separation depth of the source), so ``w[a, a+n+k+H)`` fixes its pattern,
+    and with it the core.  Classes and letters of ``[a, a+n)`` read runs of at
+    most k letters, inside the same factor.  Two shifts of the doubled window
+    ``[2a, 2a+2n)`` agree on at most H2 = H(2n) of the doubled word, so its
+    pattern, and that of every trimmed window inside it, is fixed by the
+    doubled letters ``[2a, 2a+2n+H2)``: the copies of ``w[a, a+n+ceil(H2/2))``.
+    Hence L = max(n+k+H, n+ceil(H2/2)).  Both depths are read after the rank
+    tables cover the scan, so they bound every pair the rows compare.
+    """
     if n < 1:
         raise DomainError("half-length must be at least 1")
     if scan_window < 1:
@@ -379,33 +410,39 @@ def _bulk_windows(
     k = bounds.k
     letters = source.letters(scan_window + n + k)
     base_ranks = RankedWord.of(source, max_horizon).ranks(scan_window + n + k)
-    base_patterns = window_patterns(base_ranks, np.arange(scan_window), n + k)
+    position_classes = _class_indices(letters, bounds.k0, bounds.k1, scan_window + n)
+    doubled = _doubled_view(source)
+    doubled_ranks = RankedWord.of(doubled, max_horizon).ranks(2 * (scan_window + n))
+    span = max(
+        n + k + separation_depth(source, n + k),
+        n - (-separation_depth(doubled, 2 * n) // 2),
+    )
+    starts, weights = _factor_groups(source, np.arange(scan_window), span)
+    base_patterns = window_patterns(base_ranks, starts, n + k)
     core_patterns = restrict_rows(base_patterns, 0, k)
 
-    position_classes = _class_indices(letters, bounds.k0, bounds.k1, scan_window + n)
-    classes = np.lib.stride_tricks.sliding_window_view(position_classes, n)[
-        :scan_window
-    ]
+    classes = np.lib.stride_tricks.sliding_window_view(position_classes, n)[starts]
     num_classes = bounds.num_classes
     onehot = position_classes[:, None] == np.arange(num_classes)[None, :]
     cumulative = np.vstack(
         [np.zeros(num_classes, dtype=np.int64), np.cumsum(onehot, axis=0)]
     )
-    gamma = cumulative[n : scan_window + n] - cumulative[:scan_window]
-    window_letters = np.lib.stride_tricks.sliding_window_view(letters, n)[:scan_window]
+    gamma = cumulative[starts + n] - cumulative[starts]
+    window_letters = np.lib.stride_tricks.sliding_window_view(letters, n)[starts]
     images = _images(core_patterns, classes, gamma, window_letters)
-    doubled = RankedWord.of(_doubled_view(source), max_horizon)
     bulk = _BulkWindows(
         n=n,
         bounds=bounds,
         window=scan_window,
         letters=letters,
+        starts=starts,
+        weights=weights,
         base_patterns=base_patterns,
         core_patterns=core_patterns,
         classes=classes,
         class_complete=(gamma > 0).all(axis=1),
         images=images,
-        doubled_ranks=doubled.ranks(2 * (scan_window + n)),
+        doubled_ranks=doubled_ranks,
     )
     if not np.array_equal(images, bulk.direct(0, 0)):
         raise AssertionError(
@@ -418,7 +455,11 @@ def _bulk_windows(
 @dataclass(frozen=True)
 class ImageFormulaCheck:
     """Outcome of comparing the class formula against direct ranking for all
-    four maps over every window of a scan."""
+    four maps over every window of a scan.
+
+    ``windows`` and each count in ``mismatches`` are scan windows: a distinct
+    base factor counts once for every start that shows it.
+    """
 
     source_spec: str
     half_length: int
@@ -438,13 +479,16 @@ def verify_image_formulas(
 ) -> ImageFormulaCheck:
     """Compare formula images (and their three restrictions) with patterns
     ranked directly on the doubled word, for every window start in
-    ``[0, scan_window)``."""
+    ``[0, scan_window)``: once per distinct base factor, weighted by the
+    starts that share it."""
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
     # _bulk_windows has asserted that the unrestricted images equal the
     # direct doubled windows, so only the restricted maps are ranked here.
     mismatches = {
         name: int(
-            (restrict_rows(bulk.images, *trim) != bulk.direct(*trim)).any(axis=1).sum()
+            bulk.weights[
+                (restrict_rows(bulk.images, *trim) != bulk.direct(*trim)).any(axis=1)
+            ].sum()
         )
         if any(trim)
         else 0
@@ -480,7 +524,8 @@ class AuditReport:
     and right restrictions stay faithful, that no two images form a
     complementary pair of type 1, and that same-core windows whose final
     positions sit in different classes have adjacent classes and gapped
-    final image entries.
+    final image entries.  ``class_complete_windows`` counts scan windows
+    that meet every run class, one per start, not one per distinct factor.
     """
 
     source_spec: str
@@ -512,14 +557,16 @@ class AuditReport:
         return data
 
 
-def _collision(bulk: _BulkWindows, a: int, b: int) -> CollisionRecord:
+def _collision(bulk: _BulkWindows, i: int, j: int) -> CollisionRecord:
+    """The record of rows ``i`` and ``j`` of the scan."""
     n, k = bulk.n, bulk.bounds.k
+    a, b = int(bulk.starts[i]), int(bulk.starts[j])
     form_a, form_b = bulk.letters[a : a + n + k - 1], bulk.letters[b : b + n + k - 1]
     return CollisionRecord(
         start_a=a,
         start_b=b,
         pair_type=complementary_pair(
-            tuple(bulk.base_patterns[a].tolist()), tuple(bulk.base_patterns[b].tolist())
+            tuple(bulk.base_patterns[i].tolist()), tuple(bulk.base_patterns[j].tolist())
         ),
         equal_factors=bool(np.array_equal(form_a[:n], form_b[:n])),
         equal_forms=bool(np.array_equal(form_a, form_b)),
@@ -552,8 +599,8 @@ def audit_map(
     image_rows = restrict_rows(bulk.images, lead, trail)
     image_length = image_rows.shape[1]
 
-    # First start of each distinct domain pattern.  The image must depend on
-    # the pattern alone.
+    # First row, and so first start, of each distinct domain pattern.  The
+    # image must depend on the pattern alone.
     reps = np.sort(np.unique(_row_keys(bulk.base_patterns), return_index=True)[1])
     if len(_distinct_rows(np.hstack([bulk.base_patterns, image_rows]))) != reps.size:
         raise AssertionError(
@@ -561,9 +608,9 @@ def audit_map(
         )
     images = image_rows[reps]
     collisions = [
-        _collision(bulk, a, b)
+        _collision(bulk, i, j)
         for group in _groups(images)
-        for a, b in combinations(reps[group].tolist(), 2)
+        for i, j in combinations(reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
     # Untrimmed, the direct doubled windows are the rows _bulk_windows ranked
@@ -613,7 +660,7 @@ def audit_map(
         no_type1_image_pairs=no_type1,
         gap_pairs_checked=gap_checked,
         gap_violations=gap_violations,
-        class_complete_windows=int(bulk.class_complete.sum()),
+        class_complete_windows=int(bulk.weights[bulk.class_complete].sum()),
     )
 
 

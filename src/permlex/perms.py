@@ -8,7 +8,8 @@ One ranking engine (``ranking.rank_span``) computes patterns on both paths:
 ``subpermutation`` ranks the shifts of one window under a strict comparison
 horizon, and the bulk path (``perm_set``) slices windows of a large scan out
 of the word's one rank table, one window per distinct factor of length n+H
-(H the separation depth, ``ranking.separation_depth``).  ``compare_shifts``
+(H the separation depth, ``ranking.separation_depth``), grouped by
+``_factor_groups``, which the transfer audits share.  ``compare_shifts``
 orders a single pair and names the offset where the two shifts first differ.
 """
 
@@ -218,18 +219,32 @@ def _pattern_rows(
     starts = np.arange(lo, hi)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
-    span = n + separation_depth(source, n)
-    # A start whose factor would run past the end of the word stands alone.
-    cut = np.searchsorted(starts, source.max_available() - span, side="right")
-    reps = starts[cut:]
+    reps, _ = _factor_groups(source, starts, n + separation_depth(source, n))
+    return window_patterns(global_ranks, reps, n)
+
+
+def _factor_groups(
+    source: WordSource, starts: np.ndarray, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group ascending ``starts`` by their factor ``w[a, a+span)``.
+
+    Returns ``(reps, weights)``: the first start of each group, ascending,
+    and how many of ``starts`` share its factor.  A start whose factor would
+    run past the end of the word stands alone, with weight 1.
+    """
+    cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))
+    reps, weights = starts[cut:], np.ones(starts.size - cut, dtype=np.int64)
     if cut:
         keyed = starts[:cut]
         factors = np.lib.stride_tricks.sliding_window_view(
             source.letters(int(keyed[-1]) + span), span
         )[keyed]
-        first = np.unique(_row_keys(np.packbits(factors, axis=1)), return_index=True)[1]
-        reps = np.concatenate([keyed[first], reps])
-    return window_patterns(global_ranks, reps, n)
+        keys = _row_keys(np.packbits(factors, axis=1))
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        reps = np.concatenate([keyed[first[order]], reps])
+        weights = np.concatenate([counts[order], weights])
+    return reps, weights
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permlex import (
     LESS,
@@ -35,6 +37,18 @@ from permlex import (
 )
 from permlex import doubling
 from permlex.doubling import MAPS
+from permlex.perms import DEFAULT_SCAN_WINDOW
+from permlex.ranking import separation_depth
+from permlex.words import parse_word_spec
+
+from bruteforce import (
+    naive_complement,
+    naive_double,
+    naive_fibonacci,
+    naive_sturmian,
+    naive_subperm,
+    naive_thue_morse,
+)
 
 GOLDEN_IMAGE = (5, 8, 14, 13, 12, 10, 3, 6, 11, 9, 1, 2, 4, 7)
 
@@ -213,11 +227,12 @@ def test_audit_image_size_matches_parity_enumeration(tm, dtm, map_name, n):
 
 @pytest.mark.parametrize("map_name", list(MAPS))
 def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
-    lengths = []
+    lengths, rows = [], []
     sort = doubling.window_patterns
 
     def counting(ranks, starts, n):
         lengths.append(n)
+        rows.append(len(starts))
         return sort(ranks, starts, n)
 
     monkeypatch.setattr(doubling, "window_patterns", counting)
@@ -227,6 +242,97 @@ def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
     # against, and the trimmed doubled windows of a trimmed map.
     trimmed = [18 - lead - trail] if lead or trail else []
     assert lengths == [11, 18, *trimmed]
+    # Each sort gets one row per distinct base factor w[a, a+L) of the scan,
+    # L fixing both the base window and the doubled one.
+    span = max(
+        11 + separation_depth(tm, 11),
+        9 + (separation_depth(doubling._doubled_view(tm), 18) + 1) // 2,
+    )
+    text = naive_thue_morse(DEFAULT_SCAN_WINDOW + span)
+    factors = len({text[a : a + span] for a in range(DEFAULT_SCAN_WINDOW)})
+    assert rows == [factors] * len(lengths)
+    assert factors < DEFAULT_SCAN_WINDOW // 10
+
+
+def _longest_run(w: str, letter: str) -> int:
+    return max(len(run) for run in w.split("1" if letter == "0" else "0"))
+
+
+def _assert_matches_per_window_reference(spec, w, map_name, n, scan):
+    """Audit and image check of ``spec`` against every scan start taken on its
+    own, from the strings ``w`` (a prefix long enough for every comparison)
+    and its doubling.  The audit's grouped rows must add up to the same
+    report; collisions name the first start of each domain pattern."""
+    rep = audit_map(parse_word_spec(spec), map_name, n, scan)
+    doubled = naive_double(w)
+    k0, k1 = _longest_run(w, "0"), _longest_run(w, "1")
+    assert (rep.k0, rep.k1) == (k0, k1)
+    lead, trail = MAPS[map_name]
+    first, image, complete = {}, {}, 0
+    for a in range(scan):
+        first.setdefault(naive_subperm(w, a, n + max(k0, k1)), a)
+        image[a] = naive_subperm(doubled, 2 * a + lead, 2 * n - lead - trail)
+        classes = set()
+        for x in range(a, a + n):
+            run = len(w[x:]) - len(w[x:].lstrip(w[x]))
+            classes.add(k0 - run if w[x] == "0" else k0 + run - 1)
+        complete += classes == set(range(k0 + k1))
+    starts = sorted(first.values())
+    pairs = [
+        (a, b)
+        for i, a in enumerate(starts)
+        for b in starts[i + 1 :]
+        if image[a] == image[b]
+    ]
+    assert rep.domain_size == len(first)
+    assert rep.image_size == len({image[a] for a in starts})
+    assert [(c.start_a, c.start_b) for c in rep.collisions] == pairs
+    assert rep.class_complete_windows == complete
+    chk = verify_image_formulas(parse_word_spec(spec), n, scan)
+    assert chk.windows == scan
+    assert chk.mismatches == dict.fromkeys(MAPS, 0)
+    return rep
+
+
+NAIVE_WORDS = {
+    "thue-morse": naive_thue_morse,
+    "fibonacci": naive_fibonacci,
+    "sturmian:2": lambda length: naive_sturmian((2,), length),
+    "complement(thue-morse)": lambda length: naive_complement(naive_thue_morse(length)),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    spec=st.sampled_from(sorted(NAIVE_WORDS)),
+    map_name=st.sampled_from(list(MAPS)),
+    n=st.integers(2, 10),
+    scan=st.integers(1, 300),
+)
+@example(spec="thue-morse", map_name="delta", n=7, scan=300)
+@example(spec="complement(thue-morse)", map_name="delta", n=8, scan=250)
+@example(spec="thue-morse", map_name="delta-m", n=9, scan=300)
+def test_audit_matches_a_per_window_reference(spec, map_name, n, scan):
+    w = NAIVE_WORDS[spec](2 * (scan + n) + 512)
+    _assert_matches_per_window_reference(spec, w, map_name, n, scan)
+
+
+@pytest.mark.parametrize(
+    "text,scan",
+    [
+        ("0110100110010110" * 16 + "1", 245),
+        # The factor of start 19 would run past the last letter: it stands
+        # alone, while starts before it share factors.
+        ("0110100110010110011010011001010", 20),
+    ],
+)
+def test_audit_on_a_finite_word_reaches_its_last_letters(text, scan):
+    spec = "explicit:" + text
+    rep = _assert_matches_per_window_reference(spec, text, "delta", 5, scan)
+    if scan == 245:
+        assert (rep.domain_size, rep.image_size) == (16, 16)
+        assert rep.class_complete_windows == 183
+        assert rep.collisions == ()
 
 
 def test_audit_rejects_unknown_map(tm):
