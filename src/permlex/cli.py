@@ -8,7 +8,8 @@ check suite).
 Exit codes: 0 success, 1 usage or domain error, 2 verification mismatch.
 ``PERMLEX_SCAN_WINDOW`` and ``PERMLEX_MAX_HORIZON`` override the default
 enumeration window and comparison horizon; explicit flags beat both.
-``delta`` scans nothing, so it reads only the horizon.
+``delta`` scans nothing, so it reads only the horizon.  A horizon below 1
+and an empty ``tau`` length range are usage errors.
 """
 
 from __future__ import annotations
@@ -112,7 +113,10 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _resolve_horizon(args) -> int:
-    return _setting(args.max_horizon, "PERMLEX_MAX_HORIZON", DEFAULT_MAX_HORIZON)
+    horizon = _setting(args.max_horizon, "PERMLEX_MAX_HORIZON", DEFAULT_MAX_HORIZON)
+    if horizon < 1:
+        raise PermlexError(f"the max horizon must be at least 1, got {horizon}")
+    return horizon
 
 
 def _resolve_scan(args) -> tuple[int, int]:
@@ -127,6 +131,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    if args.n_min > args.n_max:
+        raise PermlexError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     source = parse_word_spec(args.word)
     scan, horizon = _resolve_scan(args)
     rows = []

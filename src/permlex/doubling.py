@@ -16,15 +16,17 @@ with the two values swapped when the letter is 1.  ``core`` is the pattern of
 the bare window, i.e. the k-fold left restriction of the window extended k
 positions right.
 
-One routine evaluates the formula on any number of windows.  The scalar
-entry points call it on a single window (``class_profile``, ``delta`` and
-friends) or pair of positions (``doubling_order_case``); ``audit_map`` and
-``verify_image_formulas`` call it on a scan and compare against patterns
-computed directly on the doubled word.  Everything a scan window feeds the
-formula and the direct ranking is a function of a base factor starting at
-it, so ``_bulk_windows`` groups the scan's starts by that factor
-(``perms._factor_groups``, as enumeration does) and works on one row per
-distinct factor, weighted by the starts that share it.
+One routine (``_window_rows``) reads the letters, run classes and class
+sizes of any number of windows, and one (``_images``) evaluates the formula
+on them.  The scalar entry points call both on a single window
+(``class_profile``, ``delta`` and friends) or on two one-letter windows
+(``doubling_order_case``); ``audit_map`` and ``verify_image_formulas`` call
+them on a scan and compare against patterns computed directly on the
+doubled word.  Everything a scan window feeds the formula and the direct
+ranking is a function of a base factor starting at it, so ``_bulk_windows``
+groups the scan's starts by that factor (``perms._factor_groups``, as
+enumeration does) and works on one row per distinct factor, weighted by the
+starts that share it.
 ``MAPS`` defines the four transfer maps by the entries each trims from the
 doubled window, and drives both paths: ``delta_left``/``delta_right``/
 ``delta_middle`` trim one image by it, the bulk path trims every image row.
@@ -60,7 +62,7 @@ from .perms import (
 )
 from .ranking import (
     DEFAULT_MAX_HORIZON,
-    RankedWord,
+    global_ranks,
     separation_depth,
     window_patterns,
 )
@@ -91,33 +93,53 @@ def _doubled_view(source: WordSource) -> WordSource:
 
 
 def _class_indices(
-    letters: np.ndarray, k0: int, k1: int, count: int
+    letters: np.ndarray, k0: int, k1: int, at: np.ndarray
 ) -> np.ndarray:
-    """Run class of each of the first ``count`` positions of ``letters``.
+    """Run class of the letter at each offset in ``at`` (an array of any
+    shape) of ``letters``.
 
-    Needs ``max(k0, k1)`` letters of lookahead past position ``count - 1``.
+    Needs ``max(k0, k1)`` letters of lookahead past the largest offset.
     """
-    k = max(k0, k1)
-    if letters.size < count + k:
+    last = int(at.max())
+    need = last + 1 + max(k0, k1)
+    if letters.size < need:
         raise PrefixTooShort(
-            f"classifying {count} positions needs {count + k} letters, "
+            f"classifying offsets through {last} needs {need} letters, "
             f"got {letters.size}"
         )
     # Run ends: every letter change, then the end of the buffer, which lies
-    # past every classified position.
+    # past every classified offset.
     ends = np.append(np.flatnonzero(letters[:-1] != letters[1:]) + 1, letters.size)
-    xs = np.arange(count)
-    run = ends[np.searchsorted(ends, xs, side="right")] - xs
-    head = letters[:count].astype(np.int64)
+    run = ends[np.searchsorted(ends, at, side="right")] - at
+    head = letters[at]
     cap = np.where(head == 0, k0, k1)
     over = np.flatnonzero(run > cap)
     if over.size:
-        x = int(over[0])
+        x = over[0]
         raise DomainError(
-            f"run of letter {int(head[x])} at offset {x} exceeds the certified "
-            f"bound ({k0}, {k1}); certify run bounds over a longer prefix"
+            f"run of letter {int(head.flat[x])} at offset {int(at.flat[x])} "
+            f"exceeds the certified bound ({k0}, {k1}); certify run bounds over "
+            "a longer prefix"
         )
-    return np.where(head == 0, k0 - run, k0 + run - 1).astype(np.int64)
+    return np.where(head == 0, k0 - run, k0 + run - 1)
+
+
+def _window_rows(
+    source: WordSource, bounds: RunBounds, starts: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Letters ``(W, n)``, run classes ``(W, n)`` and class sizes
+    ``(W, k0 + k1)`` of the windows ``[a, a+n)`` at ``starts``.
+
+    Reads letters only over ``[min(starts), max(starts) + n + k)``, so the
+    offsets named in a run-bound error count from the smallest start.
+    """
+    lo = int(starts.min())
+    letters = source.letters(int(starts.max()) + n + bounds.k)[lo:]
+    at = (starts - lo)[:, None] + np.arange(n)
+    classes = _class_indices(letters, bounds.k0, bounds.k1, at)
+    keys = classes + bounds.num_classes * np.arange(starts.size)[:, None]
+    gamma = np.bincount(keys.ravel(), minlength=starts.size * bounds.num_classes)
+    return letters[at], classes, gamma.reshape(starts.size, -1)
 
 
 def _bounds_covering(source: WordSource, extent: int) -> RunBounds:
@@ -189,24 +211,24 @@ class ClassProfile:
         return self.k0 + self.k1
 
 
-def _window_classes(
-    source: WordSource, a: int, n: int
-) -> tuple[ClassProfile, np.ndarray, np.ndarray, np.ndarray]:
-    """``class_profile`` plus the window's classes, class sizes and letters
-    as arrays."""
+def class_profile(source: WordSource, a: int, n: int) -> ClassProfile:
+    """Class data for the window ``[a, a+n)``.
+
+    Every class must be inhabited; a window too short to meet all classes
+    (shorter than the word's recurrence bound for length-k factors) raises
+    ``ClassMissing``.
+    """
     if a < 0 or n < 1:
         raise DomainError("window start must be >= 0 and length >= 1")
     bounds = _bounds_covering(source, a + n)
-    letters = source.letters(a + n + bounds.k)
-    classes = _class_indices(letters[a:], bounds.k0, bounds.k1, n)
-    gamma = np.bincount(classes, minlength=bounds.k0 + bounds.k1)
+    _, (classes,), (gamma,) = _window_rows(source, bounds, np.array([a]), n)
     if (gamma == 0).any():
         missing = np.flatnonzero(gamma == 0).tolist()
         raise ClassMissing(
             f"window [{a}, {a + n}) of {source.spec_string()} lacks run "
             f"class(es) {missing}"
         )
-    profile = ClassProfile(
+    return ClassProfile(
         k0=bounds.k0,
         k1=bounds.k1,
         start=a,
@@ -215,17 +237,6 @@ def _window_classes(
         gamma=tuple(gamma.tolist()),
         partial_sums=tuple(np.cumsum(gamma).tolist()),
     )
-    return profile, classes, gamma, letters[a : a + n]
-
-
-def class_profile(source: WordSource, a: int, n: int) -> ClassProfile:
-    """Class data for the window ``[a, a+n)``.
-
-    Every class must be inhabited; a window too short to meet all classes
-    (shorter than the word's recurrence bound for length-k factors) raises
-    ``ClassMissing``.
-    """
-    return _window_classes(source, a, n)[0]
 
 
 @dataclass(frozen=True)
@@ -251,10 +262,12 @@ def delta(
     The result's ``image`` equals the doubled word's pattern at
     ``[2a, 2a+2n)`` but is computed without ever ranking doubled shifts.
     """
-    profile, classes, gamma, letters = _window_classes(source, a, n)
+    profile = class_profile(source, a, n)
     base = subpermutation(source, a, n + profile.k, max_horizon)
     core = restrict_rows(np.array([base]), 0, profile.k)
-    image = tuple(_images(core, classes[None], gamma[None], letters[None])[0].tolist())
+    classes, gamma = np.array([profile.classes]), np.array([profile.gamma])
+    letters = source.letters(a + n)[None, a:]
+    image = tuple(_images(core, classes, gamma, letters)[0].tolist())
     if not is_permutation(image):
         raise AssertionError(
             f"doubling image of window [{a}, {a + n}) is not a permutation; "
@@ -323,19 +336,16 @@ def doubling_order_case(
     if ordering != LESS:
         raise DomainError("the shift at a must precede the shift at b")
     bounds = _bounds_covering(source, max(a, b) + 1)
-    letters = source.letters(max(a, b) + 1 + bounds.k)
-    class_a = int(_class_indices(letters[a:], bounds.k0, bounds.k1, 1)[0])
-    class_b = int(_class_indices(letters[b:], bounds.k0, bounds.k1, 1)[0])
-    letter_a, letter_b = int(letters[a]), int(letters[b])
+    letters, classes, gamma = _window_rows(source, bounds, np.array([a, b]), 1)
+    letter_a, letter_b = letters[:, 0].tolist()
+    class_a, class_b = classes[:, 0].tolist()
     if (letter_a, class_a) > (letter_b, class_b):
         raise AssertionError(
             "class ladder out of order for lexicographically ordered shifts; "
             "this is a bug"
         )
     # The pair is a window with core (1, 2); the formula ranks its copies.
-    classes, pair = np.array([[class_a, class_b]]), np.array([[letter_a, letter_b]])
-    gamma = np.bincount(classes[0], minlength=bounds.num_classes)[None]
-    image = _images(np.array([[1, 2]]), classes, gamma, pair)
+    image = _images(np.array([[1, 2]]), classes.T, gamma.sum(axis=0)[None], letters.T)
     copies = (2 * a, 2 * a + 1, 2 * b, 2 * b + 1)
     chain = tuple(x for _, x in sorted(zip(image[0].tolist(), copies)))
     # Doubled shifts agree on twice as many letters as the base shifts they
@@ -409,10 +419,9 @@ def _bulk_windows(
     bounds = _bounds_covering(source, scan_window + n)
     k = bounds.k
     letters = source.letters(scan_window + n + k)
-    base_ranks = RankedWord.of(source, max_horizon).ranks(scan_window + n + k)
-    position_classes = _class_indices(letters, bounds.k0, bounds.k1, scan_window + n)
+    base_ranks = global_ranks(source, scan_window + n + k, max_horizon)
     doubled = _doubled_view(source)
-    doubled_ranks = RankedWord.of(doubled, max_horizon).ranks(2 * (scan_window + n))
+    doubled_ranks = global_ranks(doubled, 2 * (scan_window + n), max_horizon)
     span = max(
         n + k + separation_depth(source, n + k),
         n - (-separation_depth(doubled, 2 * n) // 2),
@@ -420,15 +429,7 @@ def _bulk_windows(
     starts, weights = _factor_groups(source, np.arange(scan_window), span)
     base_patterns = window_patterns(base_ranks, starts, n + k)
     core_patterns = restrict_rows(base_patterns, 0, k)
-
-    classes = np.lib.stride_tricks.sliding_window_view(position_classes, n)[starts]
-    num_classes = bounds.num_classes
-    onehot = position_classes[:, None] == np.arange(num_classes)[None, :]
-    cumulative = np.vstack(
-        [np.zeros(num_classes, dtype=np.int64), np.cumsum(onehot, axis=0)]
-    )
-    gamma = cumulative[starts + n] - cumulative[starts]
-    window_letters = np.lib.stride_tricks.sliding_window_view(letters, n)[starts]
+    window_letters, classes, gamma = _window_rows(source, bounds, starts, n)
     images = _images(core_patterns, classes, gamma, window_letters)
     bulk = _BulkWindows(
         n=n,

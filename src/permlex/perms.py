@@ -7,10 +7,11 @@ lexicographic order.  Patterns are plain tuples of ints.
 One ranking engine (``ranking.rank_span``) computes patterns on both paths:
 ``subpermutation`` ranks the shifts of one window under a strict comparison
 horizon, and the bulk path (``perm_set``) slices windows of a large scan out
-of the word's one rank table, one window per distinct factor of length n+H
-(H the separation depth, ``ranking.separation_depth``), grouped by
-``_factor_groups``, which the transfer audits share.  ``compare_shifts``
-orders a single pair and names the offset where the two shifts first differ.
+of the word's one rank table (``ranking.global_ranks``), one window per
+distinct factor of length n+H (H the separation depth,
+``ranking.separation_depth``), grouped by ``_factor_groups``, which the
+transfer audits share.  ``compare_shifts`` orders a single pair and names
+the offset where the two shifts first differ.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .ranking import (
     DEFAULT_MAX_HORIZON,
-    RankedWord,
+    global_ranks,
     rank_span,
     separation_depth,
     window_patterns,
@@ -215,12 +216,12 @@ def _pattern_rows(
     """Patterns of the windows starting in ``[lo, hi)`` (of one parity), one
     row per distinct factor ``w[a, a+n+H)``, H the separation depth: that
     factor fixes the window's pattern."""
-    global_ranks = RankedWord.of(source, max_horizon).ranks(hi + n)
+    ranks = global_ranks(source, hi + n, max_horizon)
     starts = np.arange(lo, hi)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
     reps, _ = _factor_groups(source, starts, n + separation_depth(source, n))
-    return window_patterns(global_ranks, reps, n)
+    return window_patterns(ranks, reps, n)
 
 
 def _factor_groups(

@@ -10,16 +10,16 @@ raise ``PrefixTooShort``, since no further letter can order them.
 
 ``rank_span`` is the one horizon loop.  It ranks a span of shifts of a
 source, doubling the horizon up to a limit and reading letters only as far
-as the source supplies them.  Its two callers are :class:`RankedWord`, a
-view that grows the one table of global ranks a source owns as plain data
+as the source supplies them.  Its two callers are ``global_ranks``, which
+grows the one table of global ranks a source owns as plain data
 (``WordSource._ranks``), and ``perms.subpermutation``, which ranks the
 shifts of a single window.  A table that ranks P shifts gives the order of
 every shorter prefix of positions, so a request no larger than the table is
 a slice, and a larger one at least doubles the table.
 
 ``separation_depth`` reads how far ranked shifts less than n apart agree,
-from a second table the source owns (``WordSource._agreement``), which grows
-with the rank table.
+from a second table the source owns (``WordSource._agreement``), which
+``global_ranks`` starts afresh whenever the rank table grows.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import HorizonExhausted, PermlexError, PrefixTooShort
 from .words import WordSource
 
 #: Default lookahead for scalar shift comparisons; bulk ranking scales its
-#: horizon with the number of positions instead (see RankedWord.ranks).
+#: horizon with the number of positions instead (see global_ranks).
 DEFAULT_MAX_HORIZON = 4096
 
 
@@ -119,51 +119,42 @@ def rank_span(
         horizon = min(2 * horizon, limit)
 
 
-class RankedWord:
-    """A view of the growing table of global shift ranks ``source`` owns.
+def global_ranks(
+    source: WordSource, positions: int, max_horizon: int = DEFAULT_MAX_HORIZON
+) -> np.ndarray:
+    """Global ranks of shifts ``0..positions-1`` of ``source``, from the one
+    table the source owns, grown on demand.
 
     A table that ranks P shifts serves every request for at most P.  A larger
     request ranks at least twice the positions already held, so a sweep over
     growing lengths ranks O(log n) times rather than once per request.  Each
-    view's ``max_horizon`` governs only the growth that view asks for.
+    call's ``max_horizon`` governs only the growth that call asks for.
     """
+    held = source._ranks
+    if positions <= held.size:
+        return held[:positions]
+    # Aperiodic binary words separate positions a < b < P well within a
+    # small multiple of P letters, so start past the configured horizon
+    # and double a few times before declaring the word periodic-looking.
+    limit = max(16 * positions, 4 * max_horizon)
 
-    def __init__(self, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON):
-        self.source = source
-        self.max_horizon = int(max_horizon)
+    def rank(count: int) -> np.ndarray:
+        return rank_span(source, 0, count, max(max_horizon, 2 * count), limit)
 
-    @classmethod
-    def of(
-        cls, source: WordSource, max_horizon: int = DEFAULT_MAX_HORIZON
-    ) -> "RankedWord":
-        """A view of the table owned by ``source``."""
-        return cls(source, max_horizon)
-
-    def ranks(self, positions: int) -> np.ndarray:
-        """Global ranks of shifts ``0..positions-1``, growing on demand."""
-        held = self.source._ranks
-        if positions <= held.size:
-            return held[:positions]
-        # Aperiodic binary words separate positions a < b < P well within a
-        # small multiple of P letters, so start past the configured horizon
-        # and double a few times before declaring the word periodic-looking.
-        limit = max(16 * positions, 4 * self.max_horizon)
-        grown = max(positions, 2 * held.size)
-        try:
-            got = self._rank(grown, limit)
-        except PermlexError:
-            # Shifts past the request may run out or tie; the exact request
-            # alone decides errors and the behaviour of finite words.
-            if grown == positions:
-                raise
-            got = self._rank(positions, limit)
-        got.setflags(write=False)
-        self.source._ranks = got
-        return got[:positions]
-
-    def _rank(self, positions: int, limit: int) -> np.ndarray:
-        horizon = max(self.max_horizon, 2 * positions)
-        return rank_span(self.source, 0, positions, horizon, limit)
+    grown = max(positions, 2 * held.size)
+    try:
+        got = rank(grown)
+    except PermlexError:
+        # Shifts past the request may run out or tie; the exact request
+        # alone decides errors and the behaviour of finite words.
+        if grown == positions:
+            raise
+        got = rank(positions)
+    got.setflags(write=False)
+    source._ranks = got
+    # The agreement table is taken over the ranked shifts: start it afresh.
+    source._agreement = np.zeros(1, dtype=np.int64)
+    return got[:positions]
 
 
 def separation_depth(source: WordSource, n: int) -> int:
@@ -174,22 +165,20 @@ def separation_depth(source: WordSource, n: int) -> int:
     their first difference, so the window's pattern is fixed by the factor
     ``w[a, a+n+H)``.  The table behind this is plain data on the source:
     ``_agreement[d]`` is the longest run of ``w[i] == w[i+d]`` starting at
-    some ``i`` with ``i + d < _agreement_over``, the size of the rank table
-    it was taken over.  When the rank table has grown, the runs are taken
-    again over all of it; when ``n`` outgrows the table, it gains at least as
-    many distances as it holds.  A depth over a longer prefix is a safe
-    overestimate for a shorter one.
+    some ``i`` with ``i + d`` below the size of the rank table.  The table
+    starts afresh whenever the rank table grows (see ``global_ranks``); when
+    ``n`` outgrows it, it gains at least as many distances as it holds.  A
+    depth over a longer prefix is a safe overestimate for a shorter one.
     """
     held, over = source._agreement, source._ranks.size
-    kept = held if source._agreement_over == over else held[:1]
-    size = held.size if n <= held.size else max(n, 2 * held.size)
-    if kept.size < size:
+    if n > held.size:
+        size = max(n, 2 * held.size)
         # Both shifts of every counted pair are ranked, so they differ before
         # the word ends: read past the ranked shifts only until runs end.
         end = source.max_available()
         w = source.letters(min(over + size + 64, end))
         fresh = []
-        for d in range(kept.size, size):
+        for d in range(held.size, size):
             run = _longest_agreement(w, d, over)
             while run is None:
                 if w.size == end:
@@ -200,8 +189,7 @@ def separation_depth(source: WordSource, n: int) -> int:
                 w = source.letters(min(2 * w.size, end))
                 run = _longest_agreement(w, d, over)
             fresh.append(run)
-        source._agreement = np.concatenate([kept, np.array(fresh, dtype=np.int64)])
-        source._agreement_over = over
+        source._agreement = np.concatenate([held, np.array(fresh, dtype=np.int64)])
     return int(source._agreement[:n].max())
 
 
@@ -219,16 +207,14 @@ def _longest_agreement(w: np.ndarray, d: int, positions: int) -> int | None:
     return max(int(ends[0]), int((ends[1:] - ends[:-1]).max(initial=1)) - 1)
 
 
-def window_patterns(
-    global_ranks: np.ndarray, starts: np.ndarray, n: int
-) -> np.ndarray:
+def window_patterns(ranks: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     """Rank patterns (rows of values 1..n) of the length-``n`` windows at ``starts``.
 
-    ``global_ranks`` must cover every index in ``starts + n - 1`` and be
-    pairwise distinct there, as :meth:`RankedWord.ranks` guarantees; with no
+    ``ranks`` must cover every index in ``starts + n - 1`` and be
+    pairwise distinct there, as ``global_ranks`` guarantees; with no
     ties to break, the sort need not be stable.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(global_ranks, n)[starts]
+    windows = np.lib.stride_tricks.sliding_window_view(ranks, n)[starts]
     order = np.argsort(windows, axis=1)
     patterns = np.empty(order.shape, dtype=np.int64)
     rows = np.arange(order.shape[0])[:, None]

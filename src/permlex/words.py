@@ -57,9 +57,8 @@ class WordSource:
         # Caches owned by the source, held as plain data.  The doubled twin
         # is the one helper that points back, and it does so weakly, so a
         # dropped source is freed without the cycle collector.
-        self._ranks = np.empty(0, dtype=np.int64)  # ranking.RankedWord
+        self._ranks = np.empty(0, dtype=np.int64)  # ranking.global_ranks
         self._agreement = np.zeros(1, dtype=np.int64)  # ranking.separation_depth
-        self._agreement_over = 0  # shifts the agreement table covers
         self._doubled_twin = None      # doubling._doubled_view
         self._run_scan = _RunScan()    # words.run_bounds
 

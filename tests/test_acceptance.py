@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from permlex import (
-    RankedWord,
     check_type_rule,
     complement,
     compare_shifts,
@@ -26,6 +25,7 @@ from permlex import (
     fibonacci_source,
     form_of,
     formula_for,
+    global_ranks,
     left_restrict,
     middle_restrict,
     perm_set,
@@ -70,14 +70,13 @@ def _saturated_factor_count(source, n: int) -> int:
 
 def _bulk_patterns(source, pairs):
     """Patterns for (start, n) pairs grouped by n, via the shared rank cache."""
-    ranked = RankedWord.of(source)
     by_n = {}
     for a, n in pairs:
         by_n.setdefault(n, []).append(a)
     out = {}
     for n, starts in by_n.items():
         starts = np.asarray(sorted(set(starts)), dtype=np.int64)
-        ranks = ranked.ranks(int(starts.max()) + n + 1)
+        ranks = global_ranks(source, int(starts.max()) + n + 1)
         rows = window_patterns(ranks, starts, n)
         out.update({(int(a), n): tuple(int(v) for v in row)
                     for a, row in zip(starts, rows)})
@@ -299,7 +298,7 @@ def test_criterion_9_property_suites(tm, fib, dtm, dfib, capsys):
     # (b) equal patterns imply equal underlying factors, set by set
     for source in (tm, fib, dtm, dfib):
         text = source.prefix_str(4096 + 20)
-        ranks = RankedWord.of(source).ranks(4096 + 20)
+        ranks = global_ranks(source, 4096 + 20)
         for m in range(3, 21):
             rows = window_patterns(ranks, np.arange(4096), m)
             seen = {}

@@ -105,6 +105,37 @@ def test_tau_rejects_bad_env(capsys, monkeypatch):
     assert "PERMLEX_SCAN_WINDOW" in err
 
 
+def test_tau_empty_length_range_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "tau", "--word", "fibonacci", "--n-min", "5", "--n-max", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--n-min 5" in err and "--n-max 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--word", "fibonacci", "--n-max", "3"],
+        ["delta", "--word", "fibonacci", "--start", "0", "--count", "5"],
+        ["audit", "--word", "fibonacci", "--map", "delta", "--n", "5"],
+        ["verify", "--suite", "bounds", "--n-max", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
+def test_horizon_below_1_is_a_usage_error(capsys, monkeypatch, argv, flag, env):
+    # Bulk ranking alone would accept any horizon, so each command checks it.
+    if env is not None:
+        monkeypatch.setenv("PERMLEX_MAX_HORIZON", env)
+    extra = [] if flag is None else ["--max-horizon", flag]
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 1
+    assert out == ""
+    assert "max horizon must be at least 1" in err
+
+
 # -- delta ------------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ doubled word itself, where the same object can be read off directly.
 import gc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,17 @@ def test_class_partial_sums_are_cumulative(tm, fib):
         for g, s in zip(prof.gamma, prof.partial_sums):
             total += g
             assert s == total
+
+
+@pytest.mark.parametrize(
+    "at", [np.array([5, 3, 1]), np.array([[4, 5, 6], [2, 3, 4]])], ids=["1d", "2d"]
+)
+def test_class_indices_reject_a_run_past_the_certified_bound(at):
+    # Caps (2, 2) allow runs of at most two letters, and three zeros start at
+    # offset 3.  The message names that offset, not the index of the entry.
+    letters = np.array([1, 0, 1, 0, 0, 0, 1, 1, 0, 1], dtype=np.int8)
+    with pytest.raises(DomainError, match=r"run of letter 0 at offset 3 exceeds"):
+        doubling._class_indices(letters, 2, 2, at)
 
 
 # -- the transfer on single windows ----------------------------------------------
@@ -333,6 +345,17 @@ def test_audit_on_a_finite_word_reaches_its_last_letters(text, scan):
         assert (rep.domain_size, rep.image_size) == (16, 16)
         assert rep.class_complete_windows == 183
         assert rep.collisions == ()
+
+
+def test_audit_collisions_name_scan_starts_not_rows():
+    # Starts 40..62 repeat factors of starts 0..22, so each later row stands
+    # for a later start: the collision (27, 67) is between rows 27 and 44.
+    tm = naive_thue_morse(3000)
+    text = tm[300:340] * 2 + tm
+    rep = _assert_matches_per_window_reference(
+        "explicit:" + text, text, "delta", 8, 2000
+    )
+    assert (27, 67) in [(c.start_a, c.start_b) for c in rep.collisions]
 
 
 def test_audit_rejects_unknown_map(tm):

@@ -14,7 +14,6 @@ from permlex import (
     MorphicSource,
     PermlexError,
     PrefixTooShort,
-    RankedWord,
     WrongSource,
     compare_shifts,
     double,
@@ -22,6 +21,7 @@ from permlex import (
     fibonacci_source,
     form_of,
     format_perm,
+    global_ranks,
     left_restrict,
     left_restrict_k,
     middle_restrict,
@@ -159,10 +159,10 @@ def test_scalar_and_bulk_paths_agree(word, a, n):
         scalar = subpermutation(source, a, n)
     except PermlexError as exc:
         with pytest.raises(type(exc)):
-            RankedWord(source).ranks(a + n)
+            global_ranks(source, a + n)
         return
     try:
-        ranks = RankedWord(source).ranks(a + n)
+        ranks = global_ranks(source, a + n)
     except PermlexError:
         return  # a shift before the window ties or runs out
     assert tuple(window_patterns(ranks, np.array([a]), n)[0].tolist()) == scalar
@@ -452,15 +452,15 @@ def test_separation_depth_matches_naive(word, requests):
     source, text = _word(word)
     for n, scan_window in requests:
         try:
-            RankedWord.of(source).ranks(scan_window + n)
+            global_ranks(source, scan_window + n)
         except PermlexError:
             continue
         depth = separation_depth(source, n)
         if n == 1:
             assert depth == 0  # a window of one shift compares nothing
             continue
-        over = source._agreement_over
-        assert over == source._ranks.size >= scan_window + n
+        over = source._ranks.size
+        assert over >= scan_window + n
         assert source._agreement.size >= n
         assert depth == naive_separation_depth(text(4 * over + 512), n, 0, over)
 
@@ -481,14 +481,14 @@ def test_factor_representatives_give_the_naive_pattern_set(
     # than the scan holds: an overestimate, which must change nothing.
     source, text = _word(word)
     if word in _FACTOR_WORDS and warm:
-        RankedWord.of(source).ranks(warm)
+        global_ranks(source, warm)
         separation_depth(source, 2 * n)
     try:
         ps = perm_set(source, n, scan_window=scan_window, saturate=False)
     except PermlexError as exc:
         # Errors come from ranking the scan, as they would without grouping.
         with pytest.raises(type(exc)):
-            RankedWord(_word(word)[0]).ranks(scan_window + n)
+            global_ranks(_word(word)[0], scan_window + n)
         return
     naive = naive_perm_set(text(8 * (scan_window + n) + 512), n, scan_window)
     assert ps.members == naive

@@ -9,9 +9,9 @@ from permlex import (
     HorizonExhausted,
     MorphicSource,
     PrefixTooShort,
-    RankedWord,
     double,
     fibonacci_source,
+    global_ranks,
     shift_ranks,
     thue_morse_source,
     window_patterns,
@@ -81,8 +81,7 @@ def test_shift_ranks_requires_full_buffer():
 
 
 def test_ranked_word_grows_horizon(tm):
-    ranked = RankedWord(thue_morse_source(), max_horizon=4)
-    ranks = ranked.ranks(600)
+    ranks = global_ranks(thue_morse_source(), 600, max_horizon=4)
     assert np.unique(ranks).size == 600
     # and agrees with a straight scan comparison on a sample
     text = naive_thue_morse(4000)
@@ -94,13 +93,12 @@ def test_ranked_word_grows_horizon(tm):
 def test_ranked_word_detects_periodic_words():
     periodic = MorphicSource({0: (0, 1), 1: (0, 1)})
     with pytest.raises(HorizonExhausted):
-        RankedWord(periodic, max_horizon=8).ranks(4)
+        global_ranks(periodic, 4, max_horizon=8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_window_patterns_match_naive(tm, n):
-    ranked = RankedWord(thue_morse_source())
-    ranks = ranked.ranks(260 + n)
+    ranks = global_ranks(thue_morse_source(), 260 + n)
     starts = np.arange(0, 250, 7)
     rows = window_patterns(ranks, starts, n)
     text = naive_thue_morse(4000)
@@ -113,28 +111,25 @@ def _doubled_thue_morse():
 
 
 def _grown_then_fresh(build, requests, positions):
-    ranked = RankedWord(build())
+    source = build()
     for p in requests:
-        ranked.ranks(p)
-    fresh = RankedWord(build()).ranks(positions)
-    return ranked, ranked.ranks(positions), fresh
+        global_ranks(source, p)
+    fresh = global_ranks(build(), positions)
+    return source, global_ranks(source, positions), fresh
 
 
 def test_ranked_word_grows_its_table_geometrically():
-    ranked, got, fresh = _grown_then_fresh(thue_morse_source, [1000, 1500], 1200)
-    assert ranked.source._ranks.size == 2000
+    source, got, fresh = _grown_then_fresh(thue_morse_source, [1000, 1500], 1200)
+    assert source._ranks.size == 2000
     assert got.size == 1200
     assert _dense(got) == _dense(fresh)
 
 
-def test_ranked_words_are_views_of_the_table_their_source_owns():
+def test_global_ranks_are_views_of_the_table_their_source_owns():
     source = thue_morse_source()
-    deep = RankedWord.of(source, 65536)
-    shallow = RankedWord.of(source)
-    # A later view with its own lookahead leaves the earlier one's alone.
-    assert deep.max_horizon == 65536
-    assert shallow.max_horizon == 4096
-    first, second = deep.ranks(300), shallow.ranks(200)
+    # A call with its own lookahead grows the one table; a later call with
+    # the default lookahead is served from it.
+    first, second = global_ranks(source, 300, 65536), global_ranks(source, 200)
     assert np.shares_memory(first, second)
     assert np.array_equal(first[:200], second)
 
