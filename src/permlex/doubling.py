@@ -419,9 +419,9 @@ def _bulk_windows(
     bounds = _bounds_covering(source, scan_window + n)
     k = bounds.k
     letters = source.letters(scan_window + n + k)
-    base_ranks = global_ranks(source, scan_window + n + k, max_horizon)
+    base_ranks = global_ranks(source, scan_window + n + k - 1, max_horizon)
     doubled = _doubled_view(source)
-    doubled_ranks = global_ranks(doubled, 2 * (scan_window + n), max_horizon)
+    doubled_ranks = global_ranks(doubled, 2 * (scan_window + n - 1), max_horizon)
     span = max(
         n + k + separation_depth(source, n + k),
         n - (-separation_depth(doubled, 2 * n) // 2),

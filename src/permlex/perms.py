@@ -83,8 +83,10 @@ def compare_shifts(
         raise DomainError("shift positions must be nonnegative")
     if a == b:
         raise DomainError("shifts at equal positions are identical")
-    top = max(a, b)
-    span = min(max_horizon, source.max_available() - top)
+    top, end = max(a, b), source.max_available()
+    if top >= end:
+        raise PrefixTooShort(f"the shift at {top} starts past all {end} letters")
+    span = min(max_horizon, end - top)
     lo, hi = 0, min(64, span)
     while lo < hi:
         w = source.letters(top + hi)
@@ -117,8 +119,6 @@ def subpermutation(
         raise DomainError("window start must be nonnegative")
     if n < 1:
         raise DomainError("window length must be at least 1")
-    if n == 1:
-        return (1,)
     ranks = rank_span(source, a, n, min(64, max_horizon), max_horizon)
     return tuple(window_patterns(ranks, np.zeros(1, dtype=np.int64), n)[0].tolist())
 
@@ -216,7 +216,7 @@ def _pattern_rows(
     """Patterns of the windows starting in ``[lo, hi)`` (of one parity), one
     row per distinct factor ``w[a, a+n+H)``, H the separation depth: that
     factor fixes the window's pattern."""
-    ranks = global_ranks(source, hi + n, max_horizon)
+    ranks = global_ranks(source, hi + n - 1, max_horizon)
     starts = np.arange(lo, hi)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]

@@ -2,8 +2,8 @@
 
 ``shift_ranks`` orders the first P shifts of a letter buffer by prefix
 doubling: start from single-letter ranks and repeatedly merge each rank with
-the rank a few positions on (one Manber-Myers round per doubling, the last
-round shortened), so that ranks compare exactly ``horizon`` letters.  It
+the rank a few positions on (one sort of one integer key per doubling, the
+last round shortened), so that ranks compare exactly ``horizon`` letters.  It
 returns ``None`` only when two shifts agree on all ``horizon`` letters.  The
 end of the buffer is the end of the word: two shifts that agree until it
 raise ``PrefixTooShort``, since no further letter can order them.
@@ -58,7 +58,7 @@ def shift_ranks(
     # A shift may run out within the horizon.  Only a pair that agrees until
     # the word ends is ordered by where the end sorts, so rank again with the
     # end sorted last and require the same order.
-    last = _ranks_with_end(letters, positions, horizon, np.iinfo(np.int64).max)
+    last = _ranks_with_end(letters, positions, horizon, letters.size)
     if not np.array_equal(np.argsort(first), np.argsort(last)):
         raise PrefixTooShort(
             f"two of {positions} shifts agree until the word ends "
@@ -70,25 +70,24 @@ def shift_ranks(
 def _ranks_with_end(
     letters: np.ndarray, positions: int, horizon: int, end: int
 ) -> np.ndarray | None:
-    # Prefix doubling with ``end`` standing for the letters past the buffer.
-    # Merging rank[x] with rank[x + step] extends the compared prefix from
-    # ``width`` to ``width + step`` letters, never past ``horizon``.
+    # Prefix doubling with ``end`` (-1 or ``total``) standing for the letters
+    # past the buffer.  Ranks are dense and below ``total``, so rank[x] and
+    # rank[x + step] pack into one int64 key below (total + 2)**2, whose dense
+    # rank (its inverse under np.unique) compares ``width + step`` letters.
     total = letters.size
     rank = letters.astype(np.int64)
     width = 1
     while True:
         head = rank[:positions]
-        if np.unique(head).size == positions:
+        if np.bincount(head).max() == 1:
             return head.copy()
         if width >= horizon:
             return None
         step = min(width, horizon - width)
         shifted = np.full(total, end, dtype=np.int64)
         shifted[: total - step] = rank[step:]
-        order = np.lexsort((shifted, rank))
-        bumps = (np.diff(rank[order]) != 0) | (np.diff(shifted[order]) != 0)
-        rank = np.empty(total, dtype=np.int64)
-        rank[order] = np.cumsum(np.r_[0, bumps])
+        key = rank * np.int64(total + 2) + shifted + 1
+        rank = np.unique(key, return_inverse=True)[1]
         width += step
 
 

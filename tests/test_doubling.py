@@ -347,6 +347,17 @@ def test_audit_on_a_finite_word_reaches_its_last_letters(text, scan):
         assert rep.collisions == ()
 
 
+def test_audit_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
+    # The scan's windows hold base shifts 0..23 and doubled shifts 0..43.
+    # Base shift 24 is a prefix of shift 0, so ranking it too would end the
+    # audit; none of the windows compares them.
+    text = naive_thue_morse(40)
+    rep = _assert_matches_per_window_reference(
+        "explicit:" + text, text, "delta", 3, 20
+    )
+    assert (rep.domain_size, rep.image_size) == (11, 8)
+
+
 def test_audit_collisions_name_scan_starts_not_rows():
     # Starts 40..62 repeat factors of starts 0..22, so each later row stands
     # for a later start: the collision (27, 67) is between rows 27 and 44.

@@ -94,6 +94,15 @@ def test_compare_shifts_on_finite_word():
         compare_shifts(explicit_source("010010"), 0, 3)
 
 
+@pytest.mark.parametrize("a,b,past", [(3, 4, 4), (9, 10, 10), (4, 0, 4)])
+def test_compare_shifts_names_a_shift_past_the_end(a, b, past):
+    # "0110" has no letter at 4 or later: no offset is compared, and the
+    # message names the shift rather than a negative offset.
+    message = rf"shift at {past} starts past all 4 letters"
+    with pytest.raises(PrefixTooShort, match=message):
+        compare_shifts(explicit_source("0110"), a, b)
+
+
 def test_compare_shifts_reads_a_short_slice_first():
     # The shifts differ at once, so the prefix grows only to the next power
     # of two past the first 64-letter slice, not past the full horizon.
@@ -118,6 +127,17 @@ def test_subpermutation_against_naive(tm, fib):
         for n in (1, 2, 3, 7, 12):
             assert subpermutation(tm, a, n) == naive_subperm(tm_text, a, n)
             assert subpermutation(fib, a, n) == naive_subperm(fib_text, a, n)
+
+
+def test_subpermutation_of_one_shift_needs_that_shift(tm):
+    # Length 1 goes through the ranking engine like every other length: a
+    # window past the end of a finite word has no pattern.
+    word = explicit_source("0110")
+    assert subpermutation(word, 3, 1) == (1,)
+    for a, n in [(4, 1), (3, 2)]:
+        with pytest.raises(PrefixTooShort):
+            subpermutation(word, a, n)
+    assert subpermutation(tm, 100000, 1) == (1,)
 
 
 def test_subpermutation_validation(tm):
@@ -304,6 +324,15 @@ def test_perm_set_on_finite_and_periodic_words_raises_from_ranking(n):
         perm_set(MorphicSource({0: (0, 1), 1: (0, 1)}), n, scan_window=4)
 
 
+def test_perm_set_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
+    # The windows [0, 2) and [1, 3) of "0110" hold the shifts 0..2, which
+    # differ before the word ends; shift 3, "0", is a prefix of shift 0 but
+    # lies in no window.  The doubled scan runs out of letters.
+    ps = perm_set(explicit_source("0110"), 2, scan_window=2)
+    assert ps.members == {(1, 2), (2, 1)}
+    assert not ps.saturated
+
+
 def test_perm_set_reports_unsaturated_on_short_words():
     # 250 letters rank the first 64-window but not the doubling retry,
     # so the count can never be confirmed stable.
@@ -486,9 +515,10 @@ def test_factor_representatives_give_the_naive_pattern_set(
     try:
         ps = perm_set(source, n, scan_window=scan_window, saturate=False)
     except PermlexError as exc:
-        # Errors come from ranking the scan, as they would without grouping.
+        # Errors come from ranking the shifts the scan's windows hold, as
+        # they would without grouping.
         with pytest.raises(type(exc)):
-            global_ranks(_word(word)[0], scan_window + n)
+            global_ranks(_word(word)[0], scan_window + n - 1)
         return
     naive = naive_perm_set(text(8 * (scan_window + n) + 512), n, scan_window)
     assert ps.members == naive

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permlex import (
@@ -78,6 +78,55 @@ def test_shift_ranks_requires_full_buffer():
     # There is no fifth shift.
     with pytest.raises(PrefixTooShort):
         shift_ranks(_letters("0110"), 5, 4)
+
+
+def _finite_oracle(text, positions, horizon):
+    # shift_ranks on the whole word ``text``: PrefixTooShort for a missing
+    # shift or for a shift cut short by the end that is a prefix of another.
+    if positions > len(text):
+        return PrefixTooShort
+    subs = [text[p : p + horizon] for p in range(positions)]
+    if len(set(subs)) < positions:
+        return None
+    for s in subs:
+        if len(s) < horizon and any(t != s and t.startswith(s) for t in subs):
+            return PrefixTooShort
+    return _oracle_ranks(text, positions, horizon)
+
+
+_FINITE_BUFFERS = st.one_of(
+    st.text("01", min_size=1, max_size=60),
+    st.builds(
+        lambda period, length: (period * 60)[:length],
+        st.sampled_from(["0110", "01", "001", "0", "01001", "011"]),
+        st.integers(1, 60),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_FINITE_BUFFERS.flatmap(
+        lambda text: st.tuples(
+            st.just(text), st.integers(0, len(text) + 1), st.integers(1, 70)
+        )
+    )
+)
+# Shift 2, "0", runs out after one letter.  With the end sorted last, its
+# key (rank 0, end) must stay below shift 1's key (rank 1, rank 0).
+@example(case=("110", 3, 2))
+def test_shift_ranks_on_finite_buffers_against_string_oracle(case):
+    text, positions, horizon = case
+    want = _finite_oracle(text, positions, horizon)
+    if want is PrefixTooShort:
+        with pytest.raises(PrefixTooShort):
+            shift_ranks(_letters(text), positions, horizon)
+        return
+    got = shift_ranks(_letters(text), positions, horizon)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and _dense(got) == want
 
 
 def test_ranked_word_grows_horizon(tm):
