@@ -24,9 +24,8 @@ on them.  The scalar entry points call both on a single window
 them on a scan and compare against patterns computed directly on the
 doubled word.  Everything a scan window feeds the formula and the direct
 ranking is a function of a base factor starting at it, so ``_bulk_windows``
-groups the scan's starts by that factor (``perms._factor_groups``, as
-enumeration does) and works on one row per distinct factor, weighted by the
-starts that share it.
+takes its base rows from ``perms._pattern_rows``, the routine enumeration
+uses: one row per distinct factor, weighted by the starts that share it.
 ``MAPS`` defines the four transfer maps by the entries each trims from the
 doubled window, and drives both paths: ``delta_left``/``delta_right``/
 ``delta_middle`` trim one image by it, the bulk path trims every image row.
@@ -50,7 +49,7 @@ from .perms import (
     LESS,
     Perm,
     _distinct_rows,
-    _factor_groups,
+    _pattern_rows,
     _restrict,
     _row_keys,
     _unique_patterns,
@@ -60,12 +59,7 @@ from .perms import (
     restrict_rows,
     subpermutation,
 )
-from .ranking import (
-    DEFAULT_MAX_HORIZON,
-    global_ranks,
-    separation_depth,
-    window_patterns,
-)
+from .ranking import DEFAULT_MAX_HORIZON, global_ranks, window_patterns
 from .words import (
     DEFAULT_FACTOR_WINDOW,
     RunBounds,
@@ -364,8 +358,8 @@ def doubling_order_case(
 
 @dataclass(frozen=True)
 class _BulkWindows:
-    """Per-factor data for the scan starts ``[0, window)``: patterns, classes,
-    formula images, and the doubled word's ranks they were checked against.
+    """Per-factor data for the starts of a scan: patterns, classes, formula
+    images, and the doubled word's ranks they were checked against.
 
     Row i stands for the ``weights[i]`` scan starts that share the base
     factor of ``starts[i]``, their first; every per-window value below is a
@@ -374,8 +368,6 @@ class _BulkWindows:
 
     n: int
     bounds: RunBounds
-    window: int
-    letters: np.ndarray         # base letters covering the scan
     starts: np.ndarray          # (F,) first start of each distinct factor, ascending
     weights: np.ndarray         # (F,) scan starts sharing that factor
     base_patterns: np.ndarray   # (F, n+k)
@@ -401,16 +393,17 @@ def _bulk_windows(
     """Group the scan starts by base factor and evaluate the formula and the
     direct ranking once per group.
 
-    The factor ``w[a, a+L)`` fixes everything a row holds.  Two shifts of the
-    base window ``[a, a+n+k)`` agree on at most H = H(n+k) letters (the
-    separation depth of the source), so ``w[a, a+n+k+H)`` fixes its pattern,
-    and with it the core.  Classes and letters of ``[a, a+n)`` read runs of at
-    most k letters, inside the same factor.  Two shifts of the doubled window
-    ``[2a, 2a+2n)`` agree on at most H2 = H(2n) of the doubled word, so its
-    pattern, and that of every trimmed window inside it, is fixed by the
-    doubled letters ``[2a, 2a+2n+H2)``: the copies of ``w[a, a+n+ceil(H2/2))``.
-    Hence L = max(n+k+H, n+ceil(H2/2)).  Both depths are read after the rank
-    tables cover the scan, so they bound every pair the rows compare.
+    The rows are ``perms._pattern_rows`` of the base windows ``[a, a+n+k)``,
+    one per factor ``w[a, a+n+k+H(n+k))``, H the separation depth; that
+    factor fixes everything a row holds.  It fixes the base pattern, and with
+    it the core.  Classes and letters of ``[a, a+n)`` read runs of at most k
+    letters, inside the same factor.  Two shifts of the doubled window
+    ``[2a, 2a+2n)`` agree on at most max(2H(n)+1, 2k-1) letters: an even and
+    an even copy on twice the agreement of the base pair, an odd and an odd
+    one on one more than twice that of the next base pair, and copies of
+    mixed parity only inside one run.  So the copies of
+    ``w[a, a+n+max(H(n)+1, k))``, a prefix of the row's factor, fix the
+    doubled window's pattern, and that of every trimmed window inside it.
     """
     if n < 1:
         raise DomainError("half-length must be at least 1")
@@ -418,24 +411,18 @@ def _bulk_windows(
         raise DomainError("scan window must be at least 1")
     bounds = _bounds_covering(source, scan_window + n)
     k = bounds.k
-    letters = source.letters(scan_window + n + k)
-    base_ranks = global_ranks(source, scan_window + n + k - 1, max_horizon)
-    doubled = _doubled_view(source)
-    doubled_ranks = global_ranks(doubled, 2 * (scan_window + n - 1), max_horizon)
-    span = max(
-        n + k + separation_depth(source, n + k),
-        n - (-separation_depth(doubled, 2 * n) // 2),
+    starts, weights, base_patterns = _pattern_rows(
+        source, n + k, 0, scan_window, None, max_horizon
     )
-    starts, weights = _factor_groups(source, np.arange(scan_window), span)
-    base_patterns = window_patterns(base_ranks, starts, n + k)
+    doubled_ranks = global_ranks(
+        _doubled_view(source), 2 * (scan_window + n - 1), max_horizon
+    )
     core_patterns = restrict_rows(base_patterns, 0, k)
     window_letters, classes, gamma = _window_rows(source, bounds, starts, n)
     images = _images(core_patterns, classes, gamma, window_letters)
     bulk = _BulkWindows(
         n=n,
         bounds=bounds,
-        window=scan_window,
-        letters=letters,
         starts=starts,
         weights=weights,
         base_patterns=base_patterns,
@@ -559,17 +546,16 @@ class AuditReport:
 
 
 def _collision(bulk: _BulkWindows, i: int, j: int) -> CollisionRecord:
-    """The record of rows ``i`` and ``j`` of the scan."""
-    n, k = bulk.n, bulk.bounds.k
-    a, b = int(bulk.starts[i]), int(bulk.starts[j])
-    form_a, form_b = bulk.letters[a : a + n + k - 1], bulk.letters[b : b + n + k - 1]
+    """The record of rows ``i`` and ``j`` of the scan.  A binary window's
+    pattern spells its factor (``perms.form_of``): the descents of a base
+    pattern are the letters ``w[a, a+n+k-1)``."""
+    p, q = bulk.base_patterns[i], bulk.base_patterns[j]
+    form_a, form_b = p[:-1] > p[1:], q[:-1] > q[1:]
     return CollisionRecord(
-        start_a=a,
-        start_b=b,
-        pair_type=complementary_pair(
-            tuple(bulk.base_patterns[i].tolist()), tuple(bulk.base_patterns[j].tolist())
-        ),
-        equal_factors=bool(np.array_equal(form_a[:n], form_b[:n])),
+        start_a=int(bulk.starts[i]),
+        start_b=int(bulk.starts[j]),
+        pair_type=complementary_pair(tuple(p.tolist()), tuple(q.tolist())),
+        equal_factors=bool(np.array_equal(form_a[: bulk.n], form_b[: bulk.n])),
         equal_forms=bool(np.array_equal(form_a, form_b)),
     )
 
@@ -651,7 +637,7 @@ def audit_map(
         image_length=image_length,
         k0=bulk.bounds.k0,
         k1=bulk.bounds.k1,
-        scan_window=bulk.window,
+        scan_window=scan_window,
         domain_size=reps.size,
         image_size=len(_distinct_rows(images)),
         collisions=tuple(collisions),

@@ -6,12 +6,13 @@ lexicographic order.  Patterns are plain tuples of ints.
 
 One ranking engine (``ranking.rank_span``) computes patterns on both paths:
 ``subpermutation`` ranks the shifts of one window under a strict comparison
-horizon, and the bulk path (``perm_set``) slices windows of a large scan out
-of the word's one rank table (``ranking.global_ranks``), one window per
-distinct factor of length n+H (H the separation depth,
-``ranking.separation_depth``), grouped by ``_factor_groups``, which the
-transfer audits share.  ``compare_shifts`` orders a single pair and names
-the offset where the two shifts first differ.
+horizon, and the bulk path slices windows of a large scan out of the word's
+one rank table (``ranking.global_ranks``), one window per distinct factor of
+length n+H (H the separation depth, ``ranking.separation_depth``).
+``_pattern_rows`` is that bulk path, shared by both bulk callers: enumeration
+(``perm_set``) and the transfer audits, which take their base rows from it.
+``compare_shifts`` orders a single pair and names the offset where the two
+shifts first differ.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class PermSet:
     """All window patterns of one length found in a scan.
 
     ``saturated`` records whether doubling the scan once more found nothing
-    new; when False the member set is only a lower bound.
+    new on a word that does not end; when False the member set is only a
+    lower bound.
     """
 
     source_spec: str
@@ -212,16 +214,20 @@ def _pattern_rows(
     hi: int,
     parity: str | None,
     max_horizon: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Patterns of the windows starting in ``[lo, hi)`` (of one parity), one
     row per distinct factor ``w[a, a+n+H)``, H the separation depth: that
-    factor fixes the window's pattern."""
+    factor fixes the window's pattern.
+
+    Returns ``(reps, weights, rows)``: the groups of ``_factor_groups`` and
+    the pattern of each group's first start.
+    """
     ranks = global_ranks(source, hi + n - 1, max_horizon)
     starts = np.arange(lo, hi)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
-    reps, _ = _factor_groups(source, starts, n + separation_depth(source, n))
-    return window_patterns(ranks, reps, n)
+    reps, weights = _factor_groups(source, starts, n + separation_depth(source, n))
+    return reps, weights, window_patterns(ranks, reps, n)
 
 
 def _factor_groups(
@@ -280,7 +286,7 @@ def _enumerate(
     spec = source.spec_string()
     window = scan_window
     members = _unique_patterns(
-        _pattern_rows(source, n, 0, window, parity, max_horizon)
+        _pattern_rows(source, n, 0, window, parity, max_horizon)[2]
     )
     if not saturate:
         return PermSet(spec, n, members, window, saturated=False)
@@ -293,10 +299,13 @@ def _enumerate(
             fresh = _pattern_rows(source, n, window, 2 * window, parity, max_horizon)
         except (LimitExceeded, PrefixTooShort):
             return PermSet(spec, n, members, window, saturated=False)
-        grown = members | _unique_patterns(fresh)
+        grown = members | _unique_patterns(fresh[2])
         window *= 2
         if len(grown) == len(members):
-            return PermSet(spec, n, grown, window, saturated=True)
+            # Windows past the scan, up to a finite word's end, may still
+            # show a new pattern.
+            finite = source.max_available() < source.hard_limit
+            return PermSet(spec, n, grown, window, saturated=not finite)
         members = grown
 
 
@@ -312,7 +321,8 @@ def perm_set(
     With ``saturate=True`` the scan doubles until a doubling adds no pattern
     (the count is then exact for all words whose patterns all appear early,
     which holds for uniformly recurrent words) or until letters run out, in
-    which case the result is flagged unsaturated.
+    which case the result is flagged unsaturated.  A finite word (one that
+    ends before the source's hard limit) is never flagged saturated.
     """
     return _enumerate(source, n, None, scan_window, saturate, max_horizon)
 

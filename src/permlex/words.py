@@ -145,7 +145,7 @@ class MorphicSource(WordSource):
     def _generate(self, n: int) -> np.ndarray:
         word = self._word
         while len(word) < n:
-            word = "".join(self._images_str[c] for c in word)
+            word = word.translate(str.maketrans(self._images_str))
         self._word = word
         return _str_to_letters(word)
 

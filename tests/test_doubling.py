@@ -17,6 +17,7 @@ from permlex import (
     LESS,
     ClassMissing,
     DomainError,
+    PrefixTooShort,
     Unsaturated,
     audit_map,
     check_bounds,
@@ -36,10 +37,10 @@ from permlex import (
     thue_morse_source,
     verify_image_formulas,
 )
-from permlex import doubling
+from permlex import doubling, perms
 from permlex.doubling import MAPS
 from permlex.perms import DEFAULT_SCAN_WINDOW
-from permlex.ranking import separation_depth
+from permlex.ranking import global_ranks, separation_depth
 from permlex.words import parse_word_spec
 
 from bruteforce import (
@@ -247,6 +248,9 @@ def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
         rows.append(len(starts))
         return sort(ranks, starts, n)
 
+    # The base windows are sorted by the enumeration's routine, the doubled
+    # ones by the transfer path.
+    monkeypatch.setattr(perms, "window_patterns", counting)
     monkeypatch.setattr(doubling, "window_patterns", counting)
     lead, trail = MAPS[map_name]
     audit_map(tm, map_name, 9)
@@ -255,11 +259,8 @@ def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
     trimmed = [18 - lead - trail] if lead or trail else []
     assert lengths == [11, 18, *trimmed]
     # Each sort gets one row per distinct base factor w[a, a+L) of the scan,
-    # L fixing both the base window and the doubled one.
-    span = max(
-        11 + separation_depth(tm, 11),
-        9 + (separation_depth(doubling._doubled_view(tm), 18) + 1) // 2,
-    )
+    # L = n + k + H(n + k) fixing both the base window and the doubled one.
+    span = 11 + separation_depth(tm, 11)
     text = naive_thue_morse(DEFAULT_SCAN_WINDOW + span)
     factors = len({text[a : a + span] for a in range(DEFAULT_SCAN_WINDOW)})
     assert rows == [factors] * len(lengths)
@@ -270,12 +271,14 @@ def _longest_run(w: str, letter: str) -> int:
     return max(len(run) for run in w.split("1" if letter == "0" else "0"))
 
 
-def _assert_matches_per_window_reference(spec, w, map_name, n, scan):
-    """Audit and image check of ``spec`` against every scan start taken on its
-    own, from the strings ``w`` (a prefix long enough for every comparison)
-    and its doubling.  The audit's grouped rows must add up to the same
-    report; collisions name the first start of each domain pattern."""
-    rep = audit_map(parse_word_spec(spec), map_name, n, scan)
+def _assert_matches_per_window_reference(spec, w, map_name, n, scan, source=None):
+    """Audit and image check of ``spec`` (or of ``source``, a word it names)
+    against every scan start taken on its own, from the strings ``w`` (a
+    prefix long enough for every comparison) and its doubling.  The audit's
+    grouped rows must add up to the same report; collisions name the first
+    start of each domain pattern."""
+    source = source or parse_word_spec(spec)
+    rep = audit_map(source, map_name, n, scan)
     doubled = naive_double(w)
     k0, k1 = _longest_run(w, "0"), _longest_run(w, "1")
     assert (rep.k0, rep.k1) == (k0, k1)
@@ -299,8 +302,14 @@ def _assert_matches_per_window_reference(spec, w, map_name, n, scan):
     assert rep.domain_size == len(first)
     assert rep.image_size == len({image[a] for a in starts})
     assert [(c.start_a, c.start_b) for c in rep.collisions] == pairs
+    # The flags compare the length-n factors and the (n+k-1)-letter forms.
+    k = max(k0, k1)
+    for c in rep.collisions:
+        a, b = c.start_a, c.start_b
+        assert c.equal_factors == (w[a : a + n] == w[b : b + n])
+        assert c.equal_forms == (w[a : a + n + k - 1] == w[b : b + n + k - 1])
     assert rep.class_complete_windows == complete
-    chk = verify_image_formulas(parse_word_spec(spec), n, scan)
+    chk = verify_image_formulas(source, n, scan)
     assert chk.windows == scan
     assert chk.mismatches == dict.fromkeys(MAPS, 0)
     return rep
@@ -324,6 +333,8 @@ NAIVE_WORDS = {
 @example(spec="thue-morse", map_name="delta", n=7, scan=300)
 @example(spec="complement(thue-morse)", map_name="delta", n=8, scan=250)
 @example(spec="thue-morse", map_name="delta-m", n=9, scan=300)
+# Collisions with every combination of the two flags.
+@example(spec="thue-morse", map_name="delta-l", n=2, scan=64)
 def test_audit_matches_a_per_window_reference(spec, map_name, n, scan):
     w = NAIVE_WORDS[spec](2 * (scan + n) + 512)
     _assert_matches_per_window_reference(spec, w, map_name, n, scan)
@@ -356,6 +367,25 @@ def test_audit_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
         "explicit:" + text, text, "delta", 3, 20
     )
     assert (rep.domain_size, rep.image_size) == (11, 8)
+    # Cut after letter 24, the word ends inside the windows: two of their
+    # shifts agree until it ends, and ranking says so before any letter past
+    # them is read.
+    with pytest.raises(PrefixTooShort, match="two of 24 shifts agree until"):
+        audit_map(parse_word_spec("explicit:" + text[:24]), "delta", 3, 20)
+
+
+@pytest.mark.parametrize("map_name", list(MAPS))
+@pytest.mark.parametrize("spec", ["fibonacci", "sturmian:2"])
+def test_audit_groups_by_the_base_factor_alone(spec, map_name):
+    # The twin has ranked far more doubled shifts than the scan holds, so a
+    # grouping by the doubled word's separation depth would ask for factors
+    # of 28 and 31 letters; n + k + H(n + k) is 22 and 27.  The base factor
+    # alone fixes every row, so the coarser grouping changes nothing.
+    warm = parse_word_spec(spec)
+    global_ranks(doubling._doubled_view(warm), 1 << 14)
+    w = NAIVE_WORDS[spec](2 * (7 + 9) + 512)
+    rep = _assert_matches_per_window_reference(spec, w, map_name, 9, 7, warm)
+    assert rep == audit_map(parse_word_spec(spec), map_name, 9, 7)
 
 
 def test_audit_collisions_name_scan_starts_not_rows():

@@ -333,6 +333,18 @@ def test_perm_set_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
     assert not ps.saturated
 
 
+def test_perm_set_never_certifies_a_finite_word():
+    # One doubling of the scan fits in the word and adds no pattern, but a
+    # later window, up to the word's end, may still show a new one.  A doubled
+    # finite word ends too.  A capped infinite source keeps the rule of a
+    # count that did not grow.
+    text = naive_thue_morse(64)
+    ps = perm_set(explicit_source(text), 3, scan_window=4)
+    assert (ps.count, ps.scan_window, ps.saturated) == (6, 32, False)
+    assert not perm_set(double(explicit_source(text)), 3, scan_window=4).saturated
+    assert perm_set(thue_morse_source(hard_limit=64), 3, scan_window=4).saturated
+
+
 def test_perm_set_reports_unsaturated_on_short_words():
     # 250 letters rank the first 64-window but not the doubling retry,
     # so the count can never be confirmed stable.
