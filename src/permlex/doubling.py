@@ -375,7 +375,7 @@ class _BulkWindows:
     classes: np.ndarray         # (F, n)
     class_complete: np.ndarray  # (F,) every class inhabited
     images: np.ndarray          # (F, 2n) via the class formula
-    doubled_ranks: np.ndarray   # shift ranks of the doubled word over the scan
+    doubled_ranks: np.ndarray   # shift ranks of the doubled word through the last row
 
     def direct(self, lead: int, trail: int) -> np.ndarray:
         """Patterns of the doubled windows ``[2a+lead, 2a+2n-trail)`` for every
@@ -412,10 +412,10 @@ def _bulk_windows(
     bounds = _bounds_covering(source, scan_window + n)
     k = bounds.k
     starts, weights, base_patterns = _pattern_rows(
-        source, n + k, 0, scan_window, None, max_horizon
+        source, n + k, 0, scan_window, None, max_horizon, {}
     )
     doubled_ranks = global_ranks(
-        _doubled_view(source), 2 * (scan_window + n - 1), max_horizon
+        _doubled_view(source), 2 * (int(starts[-1]) + n), max_horizon
     )
     core_patterns = restrict_rows(base_patterns, 0, k)
     window_letters, classes, gamma = _window_rows(source, bounds, starts, n)

@@ -6,13 +6,13 @@ lexicographic order.  Patterns are plain tuples of ints.
 
 One ranking engine (``ranking.rank_span``) computes patterns on both paths:
 ``subpermutation`` ranks the shifts of one window under a strict comparison
-horizon, and the bulk path slices windows of a large scan out of the word's
-one rank table (``ranking.global_ranks``), one window per distinct factor of
-length n+H (H the separation depth, ``ranking.separation_depth``).
-``_pattern_rows`` is that bulk path, shared by both bulk callers: enumeration
-(``perm_set``) and the transfer audits, which take their base rows from it.
-``compare_shifts`` orders a single pair and names the offset where the two
-shifts first differ.
+horizon, and the bulk path, ``_pattern_rows``, sorts one window per distinct
+factor of length n+H (H the separation depth over the scan, measured from
+letters by ``ranking.separation_depth``) out of the word's one rank table
+(``ranking.global_ranks``), which stops at the last such window.  Both bulk
+callers share it: enumeration (``perm_set``), whose saturation rounds sort
+only factors no round has shown, and the transfer audits.  ``compare_shifts``
+orders a single pair and names the offset where the two shifts first differ.
 """
 
 from __future__ import annotations
@@ -214,44 +214,53 @@ def _pattern_rows(
     hi: int,
     parity: str | None,
     max_horizon: int,
+    seen: dict[int, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Patterns of the windows starting in ``[lo, hi)`` (of one parity), one
-    row per distinct factor ``w[a, a+n+H)``, H the separation depth: that
-    factor fixes the window's pattern.
+    row per distinct factor ``w[a, a+n+H)``, H the separation depth over the
+    shifts ``[0, hi+n-1)``: that factor fixes the window's pattern.
 
     Returns ``(reps, weights, rows)``: the groups of ``_factor_groups`` and
-    the pattern of each group's first start.
+    the pattern of each group's first start.  ``seen`` maps a factor length to
+    the keys of factors that earlier calls showed, which get no row here.
     """
-    ranks = global_ranks(source, hi + n - 1, max_horizon)
     starts = np.arange(lo, hi)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
-    reps, weights = _factor_groups(source, starts, n + separation_depth(source, n))
+    span = n + separation_depth(source, n, hi + n - 1, max_horizon)
+    reps, weights, seen[span] = _factor_groups(source, starts, span, seen.get(span))
+    ranks = global_ranks(source, int(reps.max(initial=0)) + n, max_horizon)
     return reps, weights, window_patterns(ranks, reps, n)
 
 
 def _factor_groups(
-    source: WordSource, starts: np.ndarray, span: int
-) -> tuple[np.ndarray, np.ndarray]:
+    source: WordSource, starts: np.ndarray, span: int, seen: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Group ascending ``starts`` by their factor ``w[a, a+span)``.
 
-    Returns ``(reps, weights)``: the first start of each group, ascending,
-    and how many of ``starts`` share its factor.  A start whose factor would
-    run past the end of the word stands alone, with weight 1.
+    Returns ``(reps, weights, keys)``: the first start of each group whose
+    factor is not in ``seen``, ascending, how many of ``starts`` share its
+    factor, and the keys of every factor seen so far.  A start whose factor
+    would run past the end of the word stands alone, with weight 1.
     """
     cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))
     reps, weights = starts[cut:], np.ones(starts.size - cut, dtype=np.int64)
-    if cut:
-        keyed = starts[:cut]
-        factors = np.lib.stride_tricks.sliding_window_view(
-            source.letters(int(keyed[-1]) + span), span
-        )[keyed]
-        keys = _row_keys(np.packbits(factors, axis=1))
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        reps = np.concatenate([keyed[first[order]], reps])
-        weights = np.concatenate([counts[order], weights])
-    return reps, weights
+    if not cut:
+        return reps, weights, seen
+    keyed = starts[:cut]
+    factors = np.lib.stride_tricks.sliding_window_view(
+        source.letters(int(keyed[-1]) + span), span
+    )[keyed]
+    keys = _row_keys(np.packbits(factors, axis=1))
+    known = 0 if seen is None else seen.size
+    keys = keys if seen is None else np.concatenate([seen, keys])
+    # np.unique gives each key's first index, so a seen factor's is < known.
+    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    fresh = first >= known
+    first, counts = first[fresh] - known, counts[fresh]
+    order = np.argsort(first)
+    reps = np.concatenate([keyed[first[order]], reps])
+    return reps, np.concatenate([counts[order], weights]), keys
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -285,18 +294,22 @@ def _enumerate(
         raise DomainError("scan window must be at least 2")
     spec = source.spec_string()
     window = scan_window
-    members = _unique_patterns(
-        _pattern_rows(source, n, 0, window, parity, max_horizon)[2]
-    )
+    # A depth grown for the first round covers the first doubling's reach
+    # (see separation_depth), so the next round keeps its span and keys.
+    seen: dict[int, np.ndarray] = {}
+    rows = _pattern_rows(source, n, 0, window, parity, max_horizon, seen)[2]
+    members = _unique_patterns(rows)
     if not saturate:
         return PermSet(spec, n, members, window, saturated=False)
     while True:
-        # Each round doubles the scan but computes patterns only for the new
-        # starts [window, 2 * window).  Windows of a longer prefix are a
-        # superset of those of a shorter one, so an unchanged count across
-        # one doubling means an unchanged set.
+        # Each round doubles the scan but sorts only the new starts
+        # [window, 2 * window) whose factors no round has shown.  The windows
+        # only grow, so an unchanged count across one doubling means an
+        # unchanged set.
         try:
-            fresh = _pattern_rows(source, n, window, 2 * window, parity, max_horizon)
+            fresh = _pattern_rows(
+                source, n, window, 2 * window, parity, max_horizon, seen
+            )
         except (LimitExceeded, PrefixTooShort):
             return PermSet(spec, n, members, window, saturated=False)
         grown = members | _unique_patterns(fresh[2])

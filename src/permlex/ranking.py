@@ -15,11 +15,11 @@ grows the one table of global ranks a source owns as plain data
 (``WordSource._ranks``), and ``perms.subpermutation``, which ranks the
 shifts of a single window.  A table that ranks P shifts gives the order of
 every shorter prefix of positions, so a request no larger than the table is
-a slice, and a larger one at least doubles the table.
+a slice, and a larger one at least doubles the table.  The bulk paths ask
+only for the shifts up to their last factor representative's window.
 
-``separation_depth`` reads how far ranked shifts less than n apart agree,
-from a second table the source owns (``WordSource._agreement``), which
-``global_ranks`` starts afresh whenever the rank table grows.
+``separation_depth`` reads how far shifts less than n apart agree over a
+scan's shifts from letters alone, out of ``WordSource._agreement``.
 """
 
 from __future__ import annotations
@@ -132,71 +132,75 @@ def global_ranks(
     held = source._ranks
     if positions <= held.size:
         return held[:positions]
-    # Aperiodic binary words separate positions a < b < P well within a
-    # small multiple of P letters, so start past the configured horizon
-    # and double a few times before declaring the word periodic-looking.
+    # Start at 2P letters; rank_span doubles the horizon on a tie.
     limit = max(16 * positions, 4 * max_horizon)
-
-    def rank(count: int) -> np.ndarray:
-        return rank_span(source, 0, count, max(max_horizon, 2 * count), limit)
-
     grown = max(positions, 2 * held.size)
     try:
-        got = rank(grown)
+        got = rank_span(source, 0, grown, 2 * grown, limit)
     except PermlexError:
         # Shifts past the request may run out or tie; the exact request
         # alone decides errors and the behaviour of finite words.
         if grown == positions:
             raise
-        got = rank(positions)
+        got = rank_span(source, 0, positions, 2 * positions, limit)
     got.setflags(write=False)
     source._ranks = got
-    # The agreement table is taken over the ranked shifts: start it afresh.
-    source._agreement = np.zeros(1, dtype=np.int64)
     return got[:positions]
 
 
-def separation_depth(source: WordSource, n: int) -> int:
-    """The separation depth H(n): the longest agreement of two shifts less
-    than ``n`` apart among the shifts ``source`` has ranked.
+def separation_depth(
+    source: WordSource, n: int, reach: int, max_horizon: int = DEFAULT_MAX_HORIZON
+) -> int:
+    """The separation depth H(n): the longest agreement of two of the shifts
+    ``[0, reach)`` less than ``n`` apart, read from letters alone.
 
     Comparing two shifts of a window ``[a, a+n)`` reads letters only up to
-    their first difference, so the window's pattern is fixed by the factor
-    ``w[a, a+n+H)``.  The table behind this is plain data on the source:
-    ``_agreement[d]`` is the longest run of ``w[i] == w[i+d]`` starting at
-    some ``i`` with ``i + d`` below the size of the rank table.  The table
-    starts afresh whenever the rank table grows (see ``global_ranks``); when
-    ``n`` outgrows it, it gains at least as many distances as it holds.  A
-    depth over a longer prefix is a safe overestimate for a shorter one.
+    their first difference, so when the window's shifts lie below ``reach``
+    its pattern is fixed by the factor ``w[a, a+n+H)``.  The source holds
+    ``_agreement = (over, runs)``: ``runs[d]`` is the longest run of ``w[i]
+    == w[i+d]`` with ``i + d < over``.  A depth over more shifts is a safe
+    overestimate, so a request past the table is measured at twice its
+    distance and reach, the reach of the scan's next doubling.  A run that
+    reaches a finite word's end raises ``PrefixTooShort``, and one longer
+    than ``global_ranks``' limit raises ``HorizonExhausted``.
     """
-    held, over = source._agreement, source._ranks.size
-    if n > held.size:
-        size = max(n, 2 * held.size)
-        # Both shifts of every counted pair are ranked, so they differ before
-        # the word ends: read past the ranked shifts only until runs end.
-        end = source.max_available()
-        w = source.letters(min(over + size + 64, end))
-        fresh = []
-        for d in range(held.size, size):
-            run = _longest_agreement(w, d, over)
-            while run is None:
-                if w.size == end:
-                    raise AssertionError(
-                        f"ranked shifts {d} apart agree until the word ends; "
-                        "this is a bug"
-                    )
-                w = source.letters(min(2 * w.size, end))
-                run = _longest_agreement(w, d, over)
-            fresh.append(run)
-        source._agreement = np.concatenate([held, np.array(fresh, dtype=np.int64)])
-    return int(source._agreement[:n].max())
+    over, runs = source._agreement
+    if n > runs.size or reach > over:
+        limit = max(16 * reach, 4 * max_horizon)  # as global_ranks sets it
+        grown = (max(2 * n, runs.size), max(2 * reach, over))
+        try:
+            source._agreement = (grown[1], _agreement_runs(source, *grown, limit))
+        except (HorizonExhausted, PrefixTooShort):
+            # Pairs past the request may run out or agree too long; the
+            # exact request alone decides errors.
+            source._agreement = (reach, _agreement_runs(source, n, reach, limit))
+    return int(source._agreement[1][:n].max())
+
+
+def _agreement_runs(
+    source: WordSource, size: int, reach: int, limit: int
+) -> np.ndarray:
+    # Longest agreement at each distance below ``size`` over [0, reach).
+    cap = min(source.max_available(), reach + limit)
+    w = source.letters(min(reach + size + 64, cap))
+    runs = np.zeros(size, dtype=np.int64)
+    for d in range(1, min(size, reach)):
+        run = _longest_agreement(w, d, reach)
+        while run is None and w.size < cap:
+            w = source.letters(min(2 * w.size, cap))
+            run = _longest_agreement(w, d, reach)
+        if run is None or run > limit:
+            pair = f"shifts {d} apart among the first {reach} of {source.spec_string()}"
+            if run is None and w.size == source.max_available():
+                raise PrefixTooShort(f"{pair} agree until the word ends")
+            raise HorizonExhausted(f"{pair} do not separate within {limit} letters")
+        runs[d] = run
+    return runs
 
 
 def _longest_agreement(w: np.ndarray, d: int, positions: int) -> int | None:
     # Longest run of w[i] == w[i+d] starting at some i < positions - d, or
     # None when the last of those runs does not end within ``w``.
-    if d >= positions:
-        return 0
     breaks = np.flatnonzero(w[: w.size - d] != w[d:])
     last = np.searchsorted(breaks, positions - d - 1)
     if last == breaks.size:

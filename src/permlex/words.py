@@ -54,11 +54,12 @@ class WordSource:
         self.hard_limit = int(hard_limit)
         self._prefix = np.empty(0, dtype=np.int8)
         self._prefix.setflags(write=False)
-        # Caches owned by the source, held as plain data.  The doubled twin
-        # is the one helper that points back, and it does so weakly, so a
-        # dropped source is freed without the cycle collector.
+        # Caches owned by the source, held as plain data: the ranks of the
+        # shifts the bulk paths sort, and the agreement of shifts by distance
+        # over the shifts a scan reaches.  The doubled twin points back, but
+        # weakly, so a dropped source is freed without the cycle collector.
         self._ranks = np.empty(0, dtype=np.int64)  # ranking.global_ranks
-        self._agreement = np.zeros(1, dtype=np.int64)  # ranking.separation_depth
+        self._agreement = (0, np.zeros(1, dtype=np.int64))  # ranking.separation_depth
         self._doubled_twin = None      # doubling._doubled_view
         self._run_scan = _RunScan()    # words.run_bounds
 

@@ -260,7 +260,7 @@ def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
     assert lengths == [11, 18, *trimmed]
     # Each sort gets one row per distinct base factor w[a, a+L) of the scan,
     # L = n + k + H(n + k) fixing both the base window and the doubled one.
-    span = 11 + separation_depth(tm, 11)
+    span = 11 + separation_depth(tm, 11, DEFAULT_SCAN_WINDOW + 10)
     text = naive_thue_morse(DEFAULT_SCAN_WINDOW + span)
     factors = len({text[a : a + span] for a in range(DEFAULT_SCAN_WINDOW)})
     assert rows == [factors] * len(lengths)
@@ -368,9 +368,9 @@ def test_audit_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
     )
     assert (rep.domain_size, rep.image_size) == (11, 8)
     # Cut after letter 24, the word ends inside the windows: two of their
-    # shifts agree until it ends, and ranking says so before any letter past
-    # them is read.
-    with pytest.raises(PrefixTooShort, match="two of 24 shifts agree until"):
+    # shifts less than n + k apart agree until it ends, and the separation
+    # depth says so before any letter past them is read.
+    with pytest.raises(PrefixTooShort, match="among the first 24 of .* agree until"):
         audit_map(parse_word_spec("explicit:" + text[:24]), "delta", 3, 20)
 
 
@@ -438,7 +438,9 @@ def test_bounds_reject_short_lengths(tm):
 
 
 def test_bounds_need_saturated_enumerations():
-    capped = thue_morse_source(hard_limit=600)
+    # The doubling round of the base scan reaches shift 2 * 256 + 11, past
+    # the 400 letters the capped word has.
+    capped = thue_morse_source(hard_limit=400)
     with pytest.raises(Unsaturated):
         check_bounds(capped, 9, scan_window=256)
 

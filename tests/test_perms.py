@@ -37,7 +37,7 @@ from permlex import (
 from permlex import perms as perms_module
 from permlex import ranking
 from permlex.doubling import MAPS
-from permlex.perms import restrict_rows
+from permlex.perms import DEFAULT_SCAN_WINDOW, restrict_rows
 from permlex.ranking import separation_depth
 
 from bruteforce import (
@@ -324,6 +324,15 @@ def test_perm_set_on_finite_and_periodic_words_raises_from_ranking(n):
         perm_set(MorphicSource({0: (0, 1), 1: (0, 1)}), n, scan_window=4)
 
 
+def test_windows_of_one_shift_compare_nothing_even_on_a_periodic_word():
+    # No two shifts share a window of length 1, so the bulk path gives the
+    # one pattern, as the scalar path does, without ranking shifts that never
+    # separate.
+    periodic = MorphicSource({0: (0, 1), 1: (0, 1)})
+    assert perm_set(periodic, 1, scan_window=4).members == {(1,)}
+    assert subpermutation(periodic, 3, 1) == (1,)
+
+
 def test_perm_set_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
     # The windows [0, 2) and [1, 3) of "0110" hold the shifts 0..2, which
     # differ before the word ends; shift 3, "0", is a prefix of shift 0 but
@@ -482,28 +491,32 @@ def _word(word):
         max_size=4,
     ),
 )
-# The deepest pair, shifts 10 and 11, is the last pair of ranked shifts.
+# The deepest pair, shifts 10 and 11, is the last pair the reach holds.
 @example(word="01010101010000001", requests=[(2, 10)])
 # Shifts 91 and 115 agree on 113 letters, past the letters the table first
 # reads, so it reads on.
 @example(word="st31", requests=[(25, 100)])
 def test_separation_depth_matches_naive(word, requests):
-    # Each request ranks the shifts a scan needs, as enumeration does, then
-    # reads H(n); the table grows in prefix and in distance across requests.
+    # Each request measures H(n) over the shifts [0, reach) from letters
+    # alone.  The table behind it holds every distance and shift asked for,
+    # read exactly as the naive scan reads them; across requests it grows in
+    # reach and in distance, and its depth over the reach it holds bounds the
+    # depth asked for.
     source, text = _word(word)
     for n, scan_window in requests:
+        reach = scan_window + n
         try:
-            global_ranks(source, scan_window + n)
+            depth = separation_depth(source, n, reach)
         except PermlexError:
             continue
-        depth = separation_depth(source, n)
+        over, runs = source._agreement
+        assert over >= reach and runs.size >= n
+        long = text(4 * over + 512)
+        exact = ranking._agreement_runs(_word(word)[0], n, reach, 1 << 20)
+        assert exact.max() == naive_separation_depth(long, n, 0, reach) <= depth
+        assert depth == naive_separation_depth(long, n, 0, over)
         if n == 1:
             assert depth == 0  # a window of one shift compares nothing
-            continue
-        over = source._ranks.size
-        assert over >= scan_window + n
-        assert source._agreement.size >= n
-        assert depth == naive_separation_depth(text(4 * over + 512), n, 0, over)
 
 
 @settings(max_examples=80, deadline=None)
@@ -518,17 +531,18 @@ def test_separation_depth_matches_naive(word, requests):
 def test_factor_representatives_give_the_naive_pattern_set(
     word, n, scan_window, warm
 ):
-    # ``warm`` ranks a longer prefix first, so H is taken over more shifts
-    # than the scan holds: an overestimate, which must change nothing.
+    # ``warm`` measures H over a longer reach first, so H is taken over more
+    # shifts than the scan holds: an overestimate, which must change nothing.
+    # It also ranks a longer prefix than the representatives need.
     source, text = _word(word)
     if word in _FACTOR_WORDS and warm:
         global_ranks(source, warm)
-        separation_depth(source, 2 * n)
+        separation_depth(source, 2 * n, warm)
     try:
         ps = perm_set(source, n, scan_window=scan_window, saturate=False)
     except PermlexError as exc:
-        # Errors come from ranking the shifts the scan's windows hold, as
-        # they would without grouping.
+        # Errors come from the shifts the scan's windows hold, so ranking
+        # all of them without grouping raises too.
         with pytest.raises(type(exc)):
             global_ranks(_word(word)[0], scan_window + n - 1)
         return
@@ -537,11 +551,13 @@ def test_factor_representatives_give_the_naive_pattern_set(
 
 
 def test_enumeration_sorts_one_window_per_distinct_factor(monkeypatch):
-    rows = []
+    rows, reach = [], 0
     sort = perms_module.window_patterns
 
     def counting(ranks, starts, n):
+        nonlocal reach
         rows.append(len(starts))
+        reach = max(reach, int(starts.max(initial=0)) + n)
         return sort(ranks, starts, n)
 
     monkeypatch.setattr(perms_module, "window_patterns", counting)
@@ -549,6 +565,11 @@ def test_enumeration_sorts_one_window_per_distinct_factor(monkeypatch):
     scanned = 0
     for n in range(2, 130, 8):
         ps = perm_set(source, n)
-        assert ps.saturated
+        assert ps.saturated and ps.scan_window == 2 * DEFAULT_SCAN_WINDOW
         scanned += ps.scan_window  # the rounds scan [0, w) and [w, 2w)
     assert 8 * sum(rows) <= scanned
+    # The rank table stops at the last representative's window, well short
+    # of the scan, and the saturation rounds meet no factor the first
+    # rounds did not show, so they sort nothing.
+    assert source._ranks.size <= 2 * reach < DEFAULT_SCAN_WINDOW
+    assert rows[1::2] == [0] * (len(rows) // 2)
