@@ -8,7 +8,8 @@ One ranking engine (``ranking.rank_span``) computes patterns on both paths:
 ``subpermutation`` ranks the shifts of one window under a strict comparison
 horizon, and the bulk path, ``_pattern_rows``, sorts one window per distinct
 factor of length n+H (H the separation depth over the scan, measured from
-letters by ``ranking.separation_depth``) out of the word's one rank table
+letters by ``ranking.separation_depth``; factors keyed by the integer names
+of ``ranking.prefix_names``) out of the word's one rank table
 (``ranking.global_ranks``), which stops at the last such window.  Both bulk
 callers share it: enumeration (``perm_set``), whose saturation rounds sort
 only factors no round has shown, and the transfer audits.  ``compare_shifts``
@@ -32,6 +33,7 @@ from .errors import (
 from .ranking import (
     DEFAULT_MAX_HORIZON,
     global_ranks,
+    prefix_names,
     rank_span,
     separation_depth,
     window_patterns,
@@ -222,7 +224,7 @@ def _pattern_rows(
 
     Returns ``(reps, weights, rows)``: the groups of ``_factor_groups`` and
     the pattern of each group's first start.  ``seen`` maps a factor length to
-    the keys of factors that earlier calls showed, which get no row here.
+    one start of each factor that earlier calls showed, which gets no row here.
     """
     starts = np.arange(lo, hi)
     if parity is not None:
@@ -238,29 +240,28 @@ def _factor_groups(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Group ascending ``starts`` by their factor ``w[a, a+span)``.
 
-    Returns ``(reps, weights, keys)``: the first start of each group whose
+    Returns ``(reps, weights, seen)``: the first start of each group whose
     factor is not in ``seen``, ascending, how many of ``starts`` share its
-    factor, and the keys of every factor seen so far.  A start whose factor
-    would run past the end of the word stands alone, with weight 1.
+    factor, and one start of every factor seen so far.  Starts are keyed by
+    ``ranking.prefix_names``, whose names a growth of the source's name table
+    renumbers, so ``seen`` holds starts, keyed afresh on every call, and never
+    keys.  A start whose factor would run past the end of the word stands
+    alone, with weight 1.
     """
     cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))
     reps, weights = starts[cut:], np.ones(starts.size - cut, dtype=np.int64)
     if not cut:
         return reps, weights, seen
-    keyed = starts[:cut]
-    factors = np.lib.stride_tricks.sliding_window_view(
-        source.letters(int(keyed[-1]) + span), span
-    )[keyed]
-    keys = _row_keys(np.packbits(factors, axis=1))
     known = 0 if seen is None else seen.size
-    keys = keys if seen is None else np.concatenate([seen, keys])
+    pool = starts[:cut] if seen is None else np.concatenate([seen, starts[:cut]])
     # np.unique gives each key's first index, so a seen factor's is < known.
-    keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    fresh = first >= known
-    first, counts = first[fresh] - known, counts[fresh]
-    order = np.argsort(first)
-    reps = np.concatenate([keyed[first[order]], reps])
-    return reps, np.concatenate([counts[order], weights]), keys
+    _, first, counts = np.unique(
+        prefix_names(source, pool, span), return_index=True, return_counts=True
+    )
+    fresh = np.flatnonzero(first >= known)
+    fresh = fresh[np.argsort(first[fresh])]
+    reps = np.concatenate([pool[first[fresh]], reps])
+    return reps, np.concatenate([counts[fresh], weights]), pool[first]
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

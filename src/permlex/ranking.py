@@ -20,6 +20,13 @@ only for the shifts up to their last factor representative's window.
 
 ``separation_depth`` reads how far shifts less than n apart agree over a
 scan's shifts from letters alone, out of ``WordSource._agreement``.
+
+``prefix_names`` keys factors of any length for grouping, out of a third
+table on the source, ``WordSource._names``: Karp, Miller & Rosenberg's names
+of the 2**j-letter factors, level j+1 made from level j by the same merge
+step (``_merge``) that ``shift_ranks`` doubles with, so the engine has one
+prefix-doubling step.  A factor of length L is a pair of names at level
+floor(log2 L), packed into one int64 key that sorts as the factor does.
 """
 
 from __future__ import annotations
@@ -70,11 +77,9 @@ def shift_ranks(
 def _ranks_with_end(
     letters: np.ndarray, positions: int, horizon: int, end: int
 ) -> np.ndarray | None:
-    # Prefix doubling with ``end`` (-1 or ``total``) standing for the letters
-    # past the buffer.  Ranks are dense and below ``total``, so rank[x] and
-    # rank[x + step] pack into one int64 key below (total + 2)**2, whose dense
-    # rank (its inverse under np.unique) compares ``width + step`` letters.
-    total = letters.size
+    # Prefix doubling with ``end`` (-1 or the buffer's size) standing for the
+    # letters past the buffer: after each merge the ranks compare ``width +
+    # step`` letters.
     rank = letters.astype(np.int64)
     width = 1
     while True:
@@ -84,11 +89,22 @@ def _ranks_with_end(
         if width >= horizon:
             return None
         step = min(width, horizon - width)
-        shifted = np.full(total, end, dtype=np.int64)
-        shifted[: total - step] = rank[step:]
-        key = rank * np.int64(total + 2) + shifted + 1
-        rank = np.unique(key, return_inverse=True)[1]
+        rank = _merge(rank, step, end)
         width += step
+
+
+def _merge(rank: np.ndarray, step: int, end: int) -> np.ndarray:
+    # The one prefix-doubling step: the dense rank of the pair (rank[x],
+    # rank[x + step]), with ``end`` (-1 or the buffer's size) standing for
+    # the ranks past the buffer.  Ranks are below ``total``, so the pair
+    # packs into one int64 key below (total + 2)**2 and np.unique's inverse
+    # ranks it.  ``rank`` is widened first: the name table's int32 levels,
+    # times a scalar, stay int32 under numpy 1.x and would wrap.
+    total = rank.size
+    shifted = np.full(total, end, dtype=np.int64)
+    shifted[: max(total - step, 0)] = rank[step:]
+    key = rank.astype(np.int64, copy=False) * (total + 2) + shifted + 1
+    return np.unique(key, return_inverse=True)[1]
 
 
 def rank_span(
@@ -127,7 +143,12 @@ def global_ranks(
     A table that ranks P shifts serves every request for at most P.  A larger
     request ranks at least twice the positions already held, so a sweep over
     growing lengths ranks O(log n) times rather than once per request.  Each
-    call's ``max_horizon`` governs only the growth that call asks for.
+    call's ``max_horizon`` governs only the growth that call asks for.  A
+    growth past the request that fails is remembered with its letter limit
+    (``WordSource._ranks_failed``); one at least as large is tried again only
+    with at least twice that limit, so a sweep retries a failed growth once
+    its budget has doubled, not once per request.  While growths fail, each
+    request ranks exactly its own positions.
     """
     held = source._ranks
     if positions <= held.size:
@@ -135,6 +156,9 @@ def global_ranks(
     # Start at 2P letters; rank_span doubles the horizon on a tie.
     limit = max(16 * positions, 4 * max_horizon)
     grown = max(positions, 2 * held.size)
+    failed, failed_limit = source._ranks_failed
+    if grown >= failed and limit < 2 * failed_limit:
+        grown = positions
     try:
         got = rank_span(source, 0, grown, 2 * grown, limit)
     except PermlexError:
@@ -142,10 +166,57 @@ def global_ranks(
         # alone decides errors and the behaviour of finite words.
         if grown == positions:
             raise
+        source._ranks_failed = (grown, limit)
         got = rank_span(source, 0, positions, 2 * positions, limit)
     got.setflags(write=False)
     source._ranks = got
     return got[:positions]
+
+
+def prefix_names(
+    source: WordSource, positions: np.ndarray, length: int
+) -> np.ndarray:
+    """One int64 key per position: two keys are equal exactly when the
+    ``length``-letter factors at their positions are, and they sort as those
+    factors do.
+
+    Karp, Miller & Rosenberg's names: with 2**j <= length < 2**(j+1), the
+    factor ``w[a, a+length)`` is the pair of overlapping 2**j-letter factors
+    at ``a`` and ``a + length - 2**j``, each named by level j of the table the
+    source owns.  A finite word's factors stop at its end, and one cut short
+    sorts before every longer factor it begins, as the end sentinel -1 does
+    in ``shift_ranks``.  The caller keeps every factor within
+    ``source.max_available()``, as ``perms._factor_groups`` does.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    j = length.bit_length() - 1
+    size, levels = _name_levels(source, int(positions.max()) + length, j)
+    head = levels[j]
+    # A factor cut shorter than 2**j by the word's end has a head name no
+    # other position shares, so its tail name, clipped to the table, never
+    # decides an order.
+    tail = np.minimum(positions + (length - (1 << j)), size - 1)
+    return head[positions].astype(np.int64) * np.int64(size) + head[tail]
+
+
+def _name_levels(
+    source: WordSource, reach: int, j: int
+) -> tuple[int, list[np.ndarray]]:
+    # The source's name table, grown to hold the factors ending by ``reach``
+    # and 2**j letters long.  ``WordSource._names = (size, levels)``: level i
+    # ranks the 2**i-letter factors at the shifts [0, size), cut at the
+    # table's end; a factor that ends by ``size`` is named exactly.  A table
+    # too small is rebuilt at twice the reach, and stops at a finite word's end.
+    size, levels = source._names
+    end = source.max_available()
+    if size < min(reach, end):
+        size = min(2 * reach, end)
+        levels = [source.letters(size).astype(np.int32)]
+    while len(levels) <= j:
+        step = 1 << (len(levels) - 1)
+        levels.append(_merge(levels[-1], step, -1).astype(np.int32))
+    source._names = (size, levels)
+    return size, levels
 
 
 def separation_depth(

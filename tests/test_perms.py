@@ -573,3 +573,36 @@ def test_enumeration_sorts_one_window_per_distinct_factor(monkeypatch):
     # rounds did not show, so they sort nothing.
     assert source._ranks.size <= 2 * reach < DEFAULT_SCAN_WINDOW
     assert rows[1::2] == [0] * (len(rows) // 2)
+
+
+@pytest.mark.parametrize("word", ["fib", "st31", "dfib"])
+def test_seen_factors_survive_a_growth_of_the_name_table(word):
+    # Growing the name table renumbers every name, so a saturation round
+    # keys the starts of the factors earlier rounds showed afresh.  After a
+    # forced growth it must group exactly as on a source whose table did not
+    # grow, and as a grouping by factor strings does.
+    n, window = 5, 8
+    rounds = []
+    for grow in (True, False):
+        source, text = _word(word)
+        seen = {}
+        starts = perms_module._pattern_rows(source, n, 0, window, None, 4096, seen)[0]
+        (span,) = seen
+        if grow:
+            size = source._names[0]
+            before = ranking.prefix_names(source, starts, span)
+            ranking.prefix_names(source, np.array([4 * size]), span)
+            assert source._names[0] > size
+            assert not np.array_equal(before, ranking.prefix_names(source, starts, span))
+        reps, weights, _ = perms_module._pattern_rows(
+            source, n, window, 2 * window, None, 4096, seen
+        )
+        rounds.append((reps.tolist(), weights.tolist()))
+    whole = text(2 * window + span)
+    shown = {whole[a : a + span] for a in range(window)}
+    groups = {}
+    for a in range(window, 2 * window):
+        groups.setdefault(whole[a : a + span], []).append(a)
+    naive = [g for f, g in groups.items() if f not in shown]
+    assert rounds[1][0]  # the saturation round meets new factors
+    assert rounds[0] == rounds[1] == ([g[0] for g in naive], [len(g) for g in naive])

@@ -8,16 +8,27 @@ from hypothesis import strategies as st
 from permlex import (
     HorizonExhausted,
     MorphicSource,
+    PermlexError,
     PrefixTooShort,
     double,
+    explicit_source,
     fibonacci_source,
     global_ranks,
+    perm_set,
     shift_ranks,
+    sturmian_characteristic,
     thue_morse_source,
     window_patterns,
 )
+from permlex import ranking
+from permlex.ranking import prefix_names
 
-from bruteforce import naive_fibonacci, naive_subperm, naive_thue_morse
+from bruteforce import (
+    naive_fibonacci,
+    naive_sturmian,
+    naive_subperm,
+    naive_thue_morse,
+)
 
 
 def _letters(text):
@@ -193,3 +204,112 @@ def test_grown_table_is_order_isomorphic_to_fresh(build, requests, positions):
     _, got, fresh = _grown_then_fresh(build, requests, positions)
     assert got.size == positions
     assert _dense(got) == _dense(fresh)
+
+
+def test_a_failed_growth_is_retried_only_at_twice_its_limit(monkeypatch):
+    # Each row of this sweep asks for one position more than the table holds.
+    # Twice the first request ties within the growth's limit; that size and
+    # limit are remembered, so later rows rank exactly what they ask for.
+    failed = []
+    counted = ranking.rank_span
+
+    def counting(source, start, positions, horizon, limit):
+        try:
+            return counted(source, start, positions, horizon, limit)
+        except PermlexError:
+            failed.append(positions)
+            raise
+
+    monkeypatch.setattr(ranking, "rank_span", counting)
+    source = sturmian_characteristic((60, 1))
+    counts = [perm_set(source, n).count for n in range(2, 7)]
+    assert counts == [2, 3, 4, 5, 6]  # Makarov: n patterns of length n
+    assert len(failed) <= 1
+    # At twice the failed growth's letter limit or more, the growth is tried
+    # again, and here it separates.
+    held = source._ranks.size
+    global_ranks(source, held + 1, max_horizon=60_000)
+    assert source._ranks.size == 2 * held
+    assert len(failed) <= 1
+
+
+# -- prefix names ------------------------------------------------------------------
+
+#: Infinite words with their string oracles.
+_NAMED_WORDS = {
+    "tm": (thue_morse_source, naive_thue_morse),
+    "fib": (fibonacci_source, naive_fibonacci),
+    "st31": (
+        lambda: sturmian_characteristic((3, 1)),
+        lambda m: naive_sturmian((3, 1), m),
+    ),
+}
+
+#: 1, 2**j, 2**j + 1 and 2**(j+1) - 1 for j up to 7.
+_NAME_LENGTHS = st.integers(0, 7).flatmap(
+    lambda j: st.sampled_from([1, 2**j, 2**j + 1, 2 ** (j + 1) - 1])
+)
+
+
+def _named_word(word, cut):
+    # A fresh source and its text as a function of the letters needed: an
+    # infinite word, or, with ``cut``, an explicit word of its first ``cut``
+    # letters, or the explicit word ``word``.
+    if word not in _NAMED_WORDS:
+        return explicit_source(word), lambda m: word
+    build, text = _NAMED_WORDS[word]
+    if cut is None:
+        return build(), text
+    prefix = text(cut)
+    return explicit_source(prefix), lambda m: prefix
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    word=st.one_of(
+        st.sampled_from(sorted(_NAMED_WORDS)), st.text("01", min_size=1, max_size=60)
+    ),
+    cut=st.one_of(st.none(), st.integers(1, 300)),
+    requests=st.lists(
+        st.tuples(st.integers(1, 300), _NAME_LENGTHS), min_size=1, max_size=3
+    ),
+)
+# The second request outgrows the table the first built, which then names
+# the first request's factors again.
+@example(word="tm", cut=None, requests=[(8, 3), (600, 100), (8, 3)])
+def test_prefix_names_sort_as_the_factors_do(word, cut, requests):
+    # Over every pair of positions, the sign of the key difference is the
+    # comparison of the factors as strings, in which a factor cut short by a
+    # finite word's end sorts before every longer one it begins.
+    source, text = _named_word(word, cut)
+    for positions, length in requests:
+        whole = text(positions + length)
+        positions = min(positions, len(whole))
+        keys = prefix_names(source, np.arange(positions), length)
+        factors = [whole[a : a + length] for a in range(positions)]
+        order = {f: r for r, f in enumerate(sorted(set(factors)))}
+        want = np.array([order[f] for f in factors])
+        assert np.array_equal(
+            np.sign(keys[:, None] - keys[None, :]),
+            np.sign(want[:, None] - want[None, :]),
+        )
+        size, levels = source._names
+        assert positions - 1 + length <= size or size == source.max_available()
+        assert all(level.dtype == np.int32 for level in levels)
+
+
+
+def test_prefix_names_of_a_long_word_with_many_factors():
+    # Over 2**16 positions whose 32-letter factors are nearly all distinct,
+    # a name times the table's size passes 2**31, so the packed keys must be
+    # made in int64 even from int32 levels.
+    rng = np.random.default_rng(7)
+    text = "".join(map(str, rng.integers(0, 2, 70_000)))
+    length = 32
+    positions = len(text) - length + 1
+    keys = prefix_names(explicit_source(text), np.arange(positions), length)
+    factors = [text[a : a + length] for a in range(positions)]
+    order = {f: r for r, f in enumerate(sorted(set(factors)))}
+    want = np.array([order[f] for f in factors])
+    assert len(order) * positions > 2**31
+    assert np.array_equal(np.unique(keys, return_inverse=True)[1].ravel(), want)
