@@ -40,7 +40,7 @@ from .words import (
     sturmian_characteristic,
     thue_morse_source,
 )
-from .ranking import global_ranks, shift_ranks, window_patterns
+from .ranking import shift_ranks, window_patterns
 from .perms import (
     GREATER,
     LESS,

@@ -30,8 +30,9 @@ uses: one row per distinct factor, weighted by the starts that share it.
 doubled window, and drives both paths: ``delta_left``/``delta_right``/
 ``delta_middle`` trim one image by it, the bulk path trims every image row.
 ``_BulkWindows.direct`` is the one routine that ranks doubled windows
-directly, for the formula check, ``verify_image_formulas`` and the
-surjectivity side of ``audit_map`` on the trimmed maps.
+directly, by the doubled twin's names at the depth ``_bulk_windows`` proves,
+for the formula check, ``verify_image_formulas`` and the surjectivity side
+of ``audit_map`` on the trimmed maps.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .perms import (
     restrict_rows,
     subpermutation,
 )
-from .ranking import DEFAULT_MAX_HORIZON, global_ranks, window_patterns
+from .ranking import DEFAULT_MAX_HORIZON, separation_depth, window_patterns
 from .words import (
     DEFAULT_FACTOR_WINDOW,
     RunBounds,
@@ -76,7 +77,7 @@ MAP_NAMES = tuple(MAPS)
 
 
 def _doubled_view(source: WordSource) -> WordSource:
-    """One shared doubled wrapper per source, so rank caches accumulate.
+    """One shared doubled wrapper per source, so its caches accumulate.
 
     The wrapper reaches its inner word through a weak proxy: the source owns
     the wrapper, and a strong back reference would form a cycle.
@@ -359,7 +360,7 @@ def doubling_order_case(
 @dataclass(frozen=True)
 class _BulkWindows:
     """Per-factor data for the starts of a scan: patterns, classes, formula
-    images, and the doubled word's ranks they were checked against.
+    images, and the doubled word and depth they were checked against.
 
     Row i stands for the ``weights[i]`` scan starts that share the base
     factor of ``starts[i]``, their first; every per-window value below is a
@@ -375,13 +376,15 @@ class _BulkWindows:
     classes: np.ndarray         # (F, n)
     class_complete: np.ndarray  # (F,) every class inhabited
     images: np.ndarray          # (F, 2n) via the class formula
-    doubled_ranks: np.ndarray   # shift ranks of the doubled word through the last row
+    doubled: WordSource         # the doubled twin of the source
+    doubled_depth: int          # most letters two shifts of a doubled window share
 
     def direct(self, lead: int, trail: int) -> np.ndarray:
         """Patterns of the doubled windows ``[2a+lead, 2a+2n-trail)`` for every
         row's start ``a``, ranked directly on the doubled word."""
         starts = 2 * self.starts + lead
-        return window_patterns(self.doubled_ranks, starts, 2 * self.n - lead - trail)
+        length = 2 * self.n - lead - trail
+        return window_patterns(self.doubled, starts, length, self.doubled_depth)
 
 
 def _bulk_windows(
@@ -403,7 +406,8 @@ def _bulk_windows(
     one on one more than twice that of the next base pair, and copies of
     mixed parity only inside one run.  So the copies of
     ``w[a, a+n+max(H(n)+1, k))``, a prefix of the row's factor, fix the
-    doubled window's pattern, and that of every trimmed window inside it.
+    doubled window's pattern, and that of every trimmed window inside it,
+    and ``direct`` orders the doubled shifts at that depth.
     """
     if n < 1:
         raise DomainError("half-length must be at least 1")
@@ -414,9 +418,7 @@ def _bulk_windows(
     starts, weights, base_patterns = _pattern_rows(
         source, n + k, 0, scan_window, None, max_horizon, {}
     )
-    doubled_ranks = global_ranks(
-        _doubled_view(source), 2 * (int(starts[-1]) + n), max_horizon
-    )
+    depth = separation_depth(source, n, scan_window + n, max_horizon)
     core_patterns = restrict_rows(base_patterns, 0, k)
     window_letters, classes, gamma = _window_rows(source, bounds, starts, n)
     images = _images(core_patterns, classes, gamma, window_letters)
@@ -430,7 +432,8 @@ def _bulk_windows(
         classes=classes,
         class_complete=(gamma > 0).all(axis=1),
         images=images,
-        doubled_ranks=doubled_ranks,
+        doubled=_doubled_view(source),
+        doubled_depth=max(2 * depth + 1, 2 * k - 1),
     )
     if not np.array_equal(images, bulk.direct(0, 0)):
         raise AssertionError(

@@ -4,16 +4,20 @@ The window ``[a, a+n)`` of a word gets the pattern whose i-th entry is the
 1-based rank of the shift starting at ``a+i`` among the window's shifts under
 lexicographic order.  Patterns are plain tuples of ints.
 
-One ranking engine (``ranking.rank_span``) computes patterns on both paths:
-``subpermutation`` ranks the shifts of one window under a strict comparison
-horizon, and the bulk path, ``_pattern_rows``, sorts one window per distinct
-factor of length n+H (H the separation depth over the scan, measured from
-letters by ``ranking.separation_depth``; factors keyed by the integer names
-of ``ranking.prefix_names``) out of the word's one rank table
-(``ranking.global_ranks``), which stops at the last such window.  Both bulk
-callers share it: enumeration (``perm_set``), whose saturation rounds sort
-only factors no round has shown, and the transfer audits.  ``compare_shifts``
-orders a single pair and names the offset where the two shifts first differ.
+Two routines of one ranking engine compute patterns.  ``subpermutation``
+ranks the shifts of one window under a strict comparison horizon
+(``ranking.rank_span``).  The bulk path, ``_pattern_rows``, sorts one window
+per distinct factor of length n+H (H the separation depth over the scan,
+measured from letters by ``ranking.separation_depth``; factors keyed by the
+integer names of ``ranking.prefix_names``), ordering each window's shifts by
+their names 2**j >= H+1 letters long (``ranking.window_patterns``), so it
+compares only shifts that share a window.  The two paths never give
+different patterns, and raise the same error class unless two shifts of the
+window agree past ``subpermutation``'s lookahead.  Both bulk callers share
+``_pattern_rows``: enumeration (``perm_set``), whose saturation rounds sort
+only factors no round has shown, and the transfer audits.
+``compare_shifts`` orders a single pair and names the offset where the two
+shifts first differ.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .errors import (
 )
 from .ranking import (
     DEFAULT_MAX_HORIZON,
-    global_ranks,
     prefix_names,
     rank_span,
     separation_depth,
@@ -123,7 +126,7 @@ def subpermutation(
     if n < 1:
         raise DomainError("window length must be at least 1")
     ranks = rank_span(source, a, n, min(64, max_horizon), max_horizon)
-    return tuple(window_patterns(ranks, np.zeros(1, dtype=np.int64), n)[0].tolist())
+    return tuple((np.argsort(np.argsort(ranks)) + 1).tolist())
 
 
 def form_of(p: Perm) -> str:
@@ -229,10 +232,10 @@ def _pattern_rows(
     starts = np.arange(lo, hi)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
-    span = n + separation_depth(source, n, hi + n - 1, max_horizon)
+    depth = separation_depth(source, n, hi + n - 1, max_horizon)
+    span = n + depth
     reps, weights, seen[span] = _factor_groups(source, starts, span, seen.get(span))
-    ranks = global_ranks(source, int(reps.max(initial=0)) + n, max_horizon)
-    return reps, weights, window_patterns(ranks, reps, n)
+    return reps, weights, window_patterns(source, reps, n, depth)
 
 
 def _factor_groups(

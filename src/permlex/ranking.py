@@ -10,34 +10,33 @@ raise ``PrefixTooShort``, since no further letter can order them.
 
 ``rank_span`` is the one horizon loop.  It ranks a span of shifts of a
 source, doubling the horizon up to a limit and reading letters only as far
-as the source supplies them.  Its two callers are ``global_ranks``, which
-grows the one table of global ranks a source owns as plain data
-(``WordSource._ranks``), and ``perms.subpermutation``, which ranks the
-shifts of a single window.  A table that ranks P shifts gives the order of
-every shorter prefix of positions, so a request no larger than the table is
-a slice, and a larger one at least doubles the table.  The bulk paths ask
-only for the shifts up to their last factor representative's window.
+as the source supplies them.  Its one caller is ``perms.subpermutation``,
+which ranks the shifts of a single window.
 
 ``separation_depth`` reads how far shifts less than n apart agree over a
 scan's shifts from letters alone, out of ``WordSource._agreement``.
 
-``prefix_names`` keys factors of any length for grouping, out of a third
-table on the source, ``WordSource._names``: Karp, Miller & Rosenberg's names
-of the 2**j-letter factors, level j+1 made from level j by the same merge
-step (``_merge``) that ``shift_ranks`` doubles with, so the engine has one
-prefix-doubling step.  A factor of length L is a pair of names at level
-floor(log2 L), packed into one int64 key that sorts as the factor does.
+The bulk paths read one table on the source, ``WordSource._names``: Karp,
+Miller & Rosenberg's names of the 2**j-letter factors, level j+1 made from
+level j by the same merge step (``_merge``) that ``shift_ranks`` doubles
+with, so the engine has one prefix-doubling step.  ``prefix_names`` keys
+factors of any length for grouping: a factor of length L is a pair of names
+at level floor(log2 L), packed into one int64 key that sorts as the factor
+does.  ``window_patterns`` orders the shifts of each window by their names
+at the first level longer than the separation depth, which is the one
+shift order the bulk paths hold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import HorizonExhausted, PermlexError, PrefixTooShort
+from .errors import HorizonExhausted, PrefixTooShort
 from .words import WordSource
 
-#: Default lookahead for scalar shift comparisons; bulk ranking scales its
-#: horizon with the number of positions instead (see global_ranks).
+#: Default lookahead for scalar shift comparisons; a bulk scan's depth may
+#: reach the larger of 4 times this and 16 times its reach (see
+#: separation_depth).
 DEFAULT_MAX_HORIZON = 4096
 
 
@@ -134,45 +133,6 @@ def rank_span(
         horizon = min(2 * horizon, limit)
 
 
-def global_ranks(
-    source: WordSource, positions: int, max_horizon: int = DEFAULT_MAX_HORIZON
-) -> np.ndarray:
-    """Global ranks of shifts ``0..positions-1`` of ``source``, from the one
-    table the source owns, grown on demand.
-
-    A table that ranks P shifts serves every request for at most P.  A larger
-    request ranks at least twice the positions already held, so a sweep over
-    growing lengths ranks O(log n) times rather than once per request.  Each
-    call's ``max_horizon`` governs only the growth that call asks for.  A
-    growth past the request that fails is remembered with its letter limit
-    (``WordSource._ranks_failed``); one at least as large is tried again only
-    with at least twice that limit, so a sweep retries a failed growth once
-    its budget has doubled, not once per request.  While growths fail, each
-    request ranks exactly its own positions.
-    """
-    held = source._ranks
-    if positions <= held.size:
-        return held[:positions]
-    # Start at 2P letters; rank_span doubles the horizon on a tie.
-    limit = max(16 * positions, 4 * max_horizon)
-    grown = max(positions, 2 * held.size)
-    failed, failed_limit = source._ranks_failed
-    if grown >= failed and limit < 2 * failed_limit:
-        grown = positions
-    try:
-        got = rank_span(source, 0, grown, 2 * grown, limit)
-    except PermlexError:
-        # Shifts past the request may run out or tie; the exact request
-        # alone decides errors and the behaviour of finite words.
-        if grown == positions:
-            raise
-        source._ranks_failed = (grown, limit)
-        got = rank_span(source, 0, positions, 2 * positions, limit)
-    got.setflags(write=False)
-    source._ranks = got
-    return got[:positions]
-
-
 def prefix_names(
     source: WordSource, positions: np.ndarray, length: int
 ) -> np.ndarray:
@@ -233,11 +193,12 @@ def separation_depth(
     overestimate, so a request past the table is measured at twice its
     distance and reach, the reach of the scan's next doubling.  A run that
     reaches a finite word's end raises ``PrefixTooShort``, and one longer
-    than ``global_ranks``' limit raises ``HorizonExhausted``.
+    than the larger of ``4 * max_horizon`` and ``16 * reach`` raises
+    ``HorizonExhausted``.
     """
     over, runs = source._agreement
     if n > runs.size or reach > over:
-        limit = max(16 * reach, 4 * max_horizon)  # as global_ranks sets it
+        limit = max(16 * reach, 4 * max_horizon)
         grown = (max(2 * n, runs.size), max(2 * reach, over))
         try:
             source._agreement = (grown[1], _agreement_runs(source, *grown, limit))
@@ -281,14 +242,35 @@ def _longest_agreement(w: np.ndarray, d: int, positions: int) -> int | None:
     return max(int(ends[0]), int((ends[1:] - ends[:-1]).max(initial=1)) - 1)
 
 
-def window_patterns(ranks: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
-    """Rank patterns (rows of values 1..n) of the length-``n`` windows at ``starts``.
+def window_patterns(
+    source: WordSource, starts: np.ndarray, n: int, depth: int
+) -> np.ndarray:
+    """Rank patterns (rows of values 1..n) of the length-``n`` windows of
+    ``source`` at ``starts``.
 
-    ``ranks`` must cover every index in ``starts + n - 1`` and be
-    pairwise distinct there, as ``global_ranks`` guarantees; with no
-    ties to break, the sort need not be stable.
+    ``depth`` bounds how far two shifts of one window agree, as
+    ``separation_depth`` measures it, so their names at level j =
+    depth.bit_length() of the source's name table, 2**j >= depth + 1
+    letters long, differ and order them.  Two shifts of a window that share
+    a name raise ``HorizonExhausted``: a depth too small gives no order.  A
+    window past a finite word's end raises ``PrefixTooShort``.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(ranks, n)[starts]
+    starts = np.asarray(starts, dtype=np.int64)
+    reach = int(starts.max(initial=0)) + n
+    if reach > source.max_available():
+        raise PrefixTooShort(
+            f"the window [{reach - n}, {reach}) runs past the end of "
+            f"{source.spec_string()}"
+        )
+    j = int(depth).bit_length()
+    _, levels = _name_levels(source, reach - 1 + (1 << j), j)
+    windows = np.lib.stride_tricks.sliding_window_view(levels[j], n)[starts]
+    ordered = np.sort(windows, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise HorizonExhausted(
+            f"two shifts of a length-{n} window of {source.spec_string()} "
+            f"agree on {1 << j} letters, past the depth {depth}"
+        )
     order = np.argsort(windows, axis=1)
     patterns = np.empty(order.shape, dtype=np.int64)
     rows = np.arange(order.shape[0])[:, None]

@@ -54,17 +54,14 @@ class WordSource:
         self.hard_limit = int(hard_limit)
         self._prefix = np.empty(0, dtype=np.int8)
         self._prefix.setflags(write=False)
-        # Caches owned by the source, held as plain data: the ranks of the
-        # shifts the bulk paths sort (and the last growth of them that
-        # failed, with its letter limit), the agreement of shifts by distance
-        # over the shifts a scan reaches, and the names of the 2**j-letter
-        # factors at the shifts [0, size), level j an int32 array, by which
-        # the bulk paths group starts.  The doubled twin points back, but weakly, so a dropped
-        # source is freed without the cycle collector.
-        self._ranks = np.empty(0, dtype=np.int64)  # ranking.global_ranks
-        self._ranks_failed = (self.hard_limit + 1, 0)  # ranking.global_ranks
+        # Caches owned by the source, held as plain data: the agreement of
+        # shifts by distance over the shifts a scan reaches, and the names of
+        # the 2**j-letter factors at the shifts [0, size), level j an int32
+        # array, by which the bulk paths group starts and order the shifts
+        # of each window.  The doubled twin points back, but weakly, so a
+        # dropped source is freed without the cycle collector.
         self._agreement = (0, np.zeros(1, dtype=np.int64))  # ranking.separation_depth
-        self._names = (0, [])  # ranking.prefix_names: (size, levels)
+        self._names = (0, [])  # ranking._name_levels: (size, levels)
         self._doubled_twin = None      # doubling._doubled_view
         self._run_scan = _RunScan()    # words.run_bounds
 

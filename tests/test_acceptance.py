@@ -25,7 +25,6 @@ from permlex import (
     fibonacci_source,
     form_of,
     formula_for,
-    global_ranks,
     left_restrict,
     middle_restrict,
     perm_set,
@@ -43,6 +42,7 @@ from permlex import (
     verify_image_formulas,
     window_patterns,
 )
+from permlex.ranking import separation_depth
 from permlex.suites import suite_bounds
 
 GOLDEN_IMAGE = (5, 8, 14, 13, 12, 10, 3, 6, 11, 9, 1, 2, 4, 7)
@@ -76,8 +76,9 @@ def _bulk_patterns(source, pairs):
     out = {}
     for n, starts in by_n.items():
         starts = np.asarray(sorted(set(starts)), dtype=np.int64)
-        ranks = global_ranks(source, int(starts.max()) + n + 1)
-        rows = window_patterns(ranks, starts, n)
+        rows = window_patterns(
+            source, starts, n, separation_depth(source, n, int(starts.max()) + n)
+        )
         out.update({(int(a), n): tuple(int(v) for v in row)
                     for a, row in zip(starts, rows)})
     return out
@@ -298,9 +299,10 @@ def test_criterion_9_property_suites(tm, fib, dtm, dfib, capsys):
     # (b) equal patterns imply equal underlying factors, set by set
     for source in (tm, fib, dtm, dfib):
         text = source.prefix_str(4096 + 20)
-        ranks = global_ranks(source, 4096 + 20)
         for m in range(3, 21):
-            rows = window_patterns(ranks, np.arange(4096), m)
+            rows = window_patterns(
+                source, np.arange(4096), m, separation_depth(source, m, 4096 + m)
+            )
             seen = {}
             for a, row in enumerate(rows):
                 key = row.tobytes()

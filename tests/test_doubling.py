@@ -40,7 +40,7 @@ from permlex import (
 from permlex import doubling, perms
 from permlex.doubling import MAPS
 from permlex.perms import DEFAULT_SCAN_WINDOW
-from permlex.ranking import global_ranks, separation_depth
+from permlex.ranking import separation_depth
 from permlex.words import parse_word_spec
 
 from bruteforce import (
@@ -243,10 +243,10 @@ def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
     lengths, rows = [], []
     sort = doubling.window_patterns
 
-    def counting(ranks, starts, n):
+    def counting(source, starts, n, depth):
         lengths.append(n)
         rows.append(len(starts))
-        return sort(ranks, starts, n)
+        return sort(source, starts, n, depth)
 
     # The base windows are sorted by the enumeration's routine, the doubled
     # ones by the transfer path.
@@ -377,12 +377,15 @@ def test_audit_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
 @pytest.mark.parametrize("map_name", list(MAPS))
 @pytest.mark.parametrize("spec", ["fibonacci", "sturmian:2"])
 def test_audit_groups_by_the_base_factor_alone(spec, map_name):
-    # The twin has ranked far more doubled shifts than the scan holds, so a
-    # grouping by the doubled word's separation depth would ask for factors
-    # of 28 and 31 letters; n + k + H(n + k) is 22 and 27.  The base factor
-    # alone fixes every row, so the coarser grouping changes nothing.
+    # The twin has named and measured far more doubled shifts than the scan
+    # holds, so a grouping by the doubled word's separation depth would ask
+    # for factors of 28 and 31 letters; n + k + H(n + k) is 22 and 27.  The
+    # base factor alone fixes every row, so the coarser grouping changes
+    # nothing.
     warm = parse_word_spec(spec)
-    global_ranks(doubling._doubled_view(warm), 1 << 14)
+    twin = doubling._doubled_view(warm)
+    depth = separation_depth(twin, 18, (1 << 14) + 18)
+    doubling.window_patterns(twin, np.arange(1 << 14), 18, depth)
     w = NAIVE_WORDS[spec](2 * (7 + 9) + 512)
     rep = _assert_matches_per_window_reference(spec, w, map_name, 9, 7, warm)
     assert rep == audit_map(parse_word_spec(spec), map_name, 9, 7)

@@ -15,13 +15,13 @@ from permlex import (
     PermlexError,
     PrefixTooShort,
     WrongSource,
+    audit_map,
     compare_shifts,
     double,
     explicit_source,
     fibonacci_source,
     form_of,
     format_perm,
-    global_ranks,
     left_restrict,
     left_restrict_k,
     middle_restrict,
@@ -32,6 +32,7 @@ from permlex import (
     sturmian_characteristic,
     subpermutation,
     thue_morse_source,
+    verify_image_formulas,
     window_patterns,
 )
 from permlex import perms as perms_module
@@ -171,21 +172,26 @@ def _agreement_source(kind, text):
 @example(word=("explicit", _FINITE), a=3, n=5)
 @example(word=("explicit", _FINITE), a=28, n=5)
 @example(word=("periodic", "11"), a=2, n=3)
+# The word 001001...: shifts 0 and 3 never separate, but no window of two
+# shifts holds both.
+@example(word=("periodic", "01"), a=2, n=2)
 def test_scalar_and_bulk_paths_agree(word, a, n):
-    # subpermutation ranks one window; the bulk path slices it out of the
-    # word's rank table, which also ranks every shift before the window.
+    # subpermutation ranks one window's shifts; the bulk path orders them by
+    # names as long as the separation depth over the shifts up to the window
+    # demands.  They give the same pattern or raise the same class.
     source = _agreement_source(*word)
     try:
         scalar = subpermutation(source, a, n)
     except PermlexError as exc:
         with pytest.raises(type(exc)):
-            global_ranks(source, a + n)
+            _bulk_pattern(_agreement_source(*word), a, n)
         return
-    try:
-        ranks = global_ranks(source, a + n)
-    except PermlexError:
-        return  # a shift before the window ties or runs out
-    assert tuple(window_patterns(ranks, np.array([a]), n)[0].tolist()) == scalar
+    assert _bulk_pattern(source, a, n) == scalar
+
+
+def _bulk_pattern(source, a, n):
+    depth = separation_depth(source, n, a + n)
+    return tuple(window_patterns(source, [a], n, depth)[0].tolist())
 
 
 def test_form_reads_off_the_factor(tm, fib):
@@ -317,11 +323,25 @@ def test_parity_needs_doubled_source(tm):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_perm_set_on_finite_and_periodic_words_raises_from_ranking(n):
     # The 33-letter word repeats with period 4 until it ends, so the shifts
-    # 4 apart agree until the end; the periodic word never separates them.
-    with pytest.raises(PrefixTooShort):
-        perm_set(explicit_source(_FINITE), n, scan_window=4)
-    with pytest.raises(HorizonExhausted):
-        perm_set(MorphicSource({0: (0, 1), 1: (0, 1)}), n, scan_window=4)
+    # 4 apart agree until the end, and the periodic word 0101... never
+    # separates shifts 2 apart.  A window of fewer shifts holds no such pair:
+    # its scan gives the naive patterns until the word ends, unsaturated.
+    finite = explicit_source(_FINITE)
+    if n < 5:
+        ps = perm_set(finite, n, scan_window=4)
+        assert not ps.saturated
+        assert ps.members == naive_perm_set(_FINITE, n, ps.scan_window)
+    else:
+        with pytest.raises(PrefixTooShort):
+            perm_set(finite, n, scan_window=4)
+    periodic = MorphicSource({0: (0, 1), 1: (0, 1)})
+    if n < 3:
+        ps = perm_set(periodic, n, scan_window=4)
+        assert ps.members == naive_perm_set("01" * 64, n, ps.scan_window)
+        assert ps.members == {(1, 2), (2, 1)}
+    else:
+        with pytest.raises(HorizonExhausted):
+            perm_set(periodic, n, scan_window=4)
 
 
 def test_windows_of_one_shift_compare_nothing_even_on_a_periodic_word():
@@ -355,12 +375,17 @@ def test_perm_set_never_certifies_a_finite_word():
 
 
 def test_perm_set_reports_unsaturated_on_short_words():
-    # 250 letters rank the first 64-window but not the doubling retry,
-    # so the count can never be confirmed stable.
-    capped = fibonacci_source(hard_limit=250)
+    # 190 letters order the first 64-window but not the doubling retry,
+    # whose shifts 34 apart agree past them, so the count can never be
+    # confirmed stable.
+    capped = fibonacci_source(hard_limit=190)
     ps = perm_set(capped, 40, scan_window=64)
     assert not ps.saturated
     assert ps.count > 0
+    # 250 letters order the retry's windows too, and it adds nothing to the
+    # 40 patterns of length 40 (Makarov).
+    ps = perm_set(fibonacci_source(hard_limit=250), 40, scan_window=64)
+    assert (ps.count, ps.scan_window, ps.saturated) == (40, 128, True)
 
 
 # -- incremental enumeration against the oracle ---------------------------------
@@ -436,9 +461,9 @@ def test_perm_set_parity_matches_naive(
     )
 
 
-def test_sweep_ranks_each_word_a_few_times(monkeypatch):
-    # One growing rank table serves the whole sweep: it is rebuilt only when
-    # a request outgrows it, and then at least doubles.
+def test_bulk_paths_never_rank_shifts(monkeypatch):
+    # The bulk paths order each window's shifts by the source's names alone:
+    # a sweep, an audit and an image check call shift_ranks not once.
     calls = []
     counted = ranking.shift_ranks
 
@@ -450,7 +475,10 @@ def test_sweep_ranks_each_word_a_few_times(monkeypatch):
     source = double(thue_morse_source())
     for n in range(2, 65):
         assert perm_set(source, n).saturated
-    assert len(calls) <= 8
+    tm = thue_morse_source()
+    assert audit_map(tm, "delta-m", 9).surjective
+    assert verify_image_formulas(tm, 9, 512).ok
+    assert calls == []
 
 
 # -- factor representatives ------------------------------------------------------
@@ -533,18 +561,17 @@ def test_factor_representatives_give_the_naive_pattern_set(
 ):
     # ``warm`` measures H over a longer reach first, so H is taken over more
     # shifts than the scan holds: an overestimate, which must change nothing.
-    # It also ranks a longer prefix than the representatives need.
+    # It also names a longer prefix than the representatives need.
     source, text = _word(word)
     if word in _FACTOR_WORDS and warm:
-        global_ranks(source, warm)
-        separation_depth(source, 2 * n, warm)
+        window_patterns(source, [warm], n, separation_depth(source, 2 * n, warm + n))
     try:
         ps = perm_set(source, n, scan_window=scan_window, saturate=False)
     except PermlexError as exc:
-        # Errors come from the shifts the scan's windows hold, so ranking
-        # all of them without grouping raises too.
+        # Errors come from the shifts the scan's windows hold, so ordering
+        # the last window without grouping raises too.
         with pytest.raises(type(exc)):
-            global_ranks(_word(word)[0], scan_window + n - 1)
+            _bulk_pattern(_word(word)[0], scan_window - 1, n)
         return
     naive = naive_perm_set(text(8 * (scan_window + n) + 512), n, scan_window)
     assert ps.members == naive
@@ -554,11 +581,12 @@ def test_enumeration_sorts_one_window_per_distinct_factor(monkeypatch):
     rows, reach = [], 0
     sort = perms_module.window_patterns
 
-    def counting(ranks, starts, n):
+    def counting(source, starts, n, depth):
         nonlocal reach
         rows.append(len(starts))
-        reach = max(reach, int(starts.max(initial=0)) + n)
-        return sort(ranks, starts, n)
+        names = (1 << depth.bit_length()) - 1  # letters past the window named
+        reach = max(reach, int(starts.max(initial=0)) + n + names)
+        return sort(source, starts, n, depth)
 
     monkeypatch.setattr(perms_module, "window_patterns", counting)
     source = double(thue_morse_source())
@@ -568,10 +596,12 @@ def test_enumeration_sorts_one_window_per_distinct_factor(monkeypatch):
         assert ps.saturated and ps.scan_window == 2 * DEFAULT_SCAN_WINDOW
         scanned += ps.scan_window  # the rounds scan [0, w) and [w, 2w)
     assert 8 * sum(rows) <= scanned
-    # The rank table stops at the last representative's window, well short
-    # of the scan, and the saturation rounds meet no factor the first
+    # The sorted windows and the letters their names span stop well short of
+    # the scan, so they never grow the name table past the one grouping the
+    # doubled scan built, and the saturation rounds meet no factor the first
     # rounds did not show, so they sort nothing.
-    assert source._ranks.size <= 2 * reach < DEFAULT_SCAN_WINDOW
+    assert reach < DEFAULT_SCAN_WINDOW
+    assert source._names[0] <= 2 * (2 * DEFAULT_SCAN_WINDOW + reach)
     assert rows[1::2] == [0] * (len(rows) // 2)
 
 

@@ -8,20 +8,16 @@ from hypothesis import strategies as st
 from permlex import (
     HorizonExhausted,
     MorphicSource,
-    PermlexError,
     PrefixTooShort,
-    double,
     explicit_source,
     fibonacci_source,
-    global_ranks,
     perm_set,
     shift_ranks,
     sturmian_characteristic,
     thue_morse_source,
     window_patterns,
 )
-from permlex import ranking
-from permlex.ranking import prefix_names
+from permlex.ranking import prefix_names, separation_depth
 
 from bruteforce import (
     naive_fibonacci,
@@ -140,97 +136,39 @@ def test_shift_ranks_on_finite_buffers_against_string_oracle(case):
         assert got is not None and _dense(got) == want
 
 
-def test_ranked_word_grows_horizon(tm):
-    ranks = global_ranks(thue_morse_source(), 600, max_horizon=4)
-    assert np.unique(ranks).size == 600
-    # and agrees with a straight scan comparison on a sample
-    text = naive_thue_morse(4000)
-    for a, b in [(0, 1), (5, 300), (17, 512), (598, 2)]:
-        scan = -1 if text[a:] < text[b:] else 1
-        assert (ranks[a] - ranks[b] < 0) == (scan < 0)
-
-
 def test_ranked_word_detects_periodic_words():
+    # Shifts two apart of 0101... never separate: the depth that would order
+    # them is past every limit, and no depth gives names that do.
     periodic = MorphicSource({0: (0, 1), 1: (0, 1)})
     with pytest.raises(HorizonExhausted):
-        global_ranks(periodic, 4, max_horizon=8)
+        separation_depth(periodic, 4, 8, max_horizon=8)
+    with pytest.raises(HorizonExhausted):
+        window_patterns(periodic, np.arange(4), 4, 1000)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_window_patterns_match_naive(tm, n):
-    ranks = global_ranks(thue_morse_source(), 260 + n)
+    source = thue_morse_source()
     starts = np.arange(0, 250, 7)
-    rows = window_patterns(ranks, starts, n)
+    rows = window_patterns(source, starts, n, separation_depth(source, n, 250 + n))
     text = naive_thue_morse(4000)
     for row, a in zip(rows, starts):
         assert tuple(int(v) for v in row) == naive_subperm(text, int(a), n)
 
 
-def _doubled_thue_morse():
-    return double(thue_morse_source())
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_window_patterns_refuse_a_depth_too_small(n):
+    # Every window of three or more shifts of thue-morse holds two shifts
+    # that begin with the same letter, so names one letter long tie.
+    with pytest.raises(HorizonExhausted):
+        window_patterns(thue_morse_source(), np.arange(0, 40, 3), n, 0)
 
 
-def _grown_then_fresh(build, requests, positions):
-    source = build()
-    for p in requests:
-        global_ranks(source, p)
-    fresh = global_ranks(build(), positions)
-    return source, global_ranks(source, positions), fresh
-
-
-def test_ranked_word_grows_its_table_geometrically():
-    source, got, fresh = _grown_then_fresh(thue_morse_source, [1000, 1500], 1200)
-    assert source._ranks.size == 2000
-    assert got.size == 1200
-    assert _dense(got) == _dense(fresh)
-
-
-def test_global_ranks_are_views_of_the_table_their_source_owns():
-    source = thue_morse_source()
-    # A call with its own lookahead grows the one table; a later call with
-    # the default lookahead is served from it.
-    first, second = global_ranks(source, 300, 65536), global_ranks(source, 200)
-    assert np.shares_memory(first, second)
-    assert np.array_equal(first[:200], second)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from([thue_morse_source, fibonacci_source, _doubled_thue_morse]),
-    st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=6),
-    st.integers(min_value=1, max_value=3000),
-)
-def test_grown_table_is_order_isomorphic_to_fresh(build, requests, positions):
-    _, got, fresh = _grown_then_fresh(build, requests, positions)
-    assert got.size == positions
-    assert _dense(got) == _dense(fresh)
-
-
-def test_a_failed_growth_is_retried_only_at_twice_its_limit(monkeypatch):
-    # Each row of this sweep asks for one position more than the table holds.
-    # Twice the first request ties within the growth's limit; that size and
-    # limit are remembered, so later rows rank exactly what they ask for.
-    failed = []
-    counted = ranking.rank_span
-
-    def counting(source, start, positions, horizon, limit):
-        try:
-            return counted(source, start, positions, horizon, limit)
-        except PermlexError:
-            failed.append(positions)
-            raise
-
-    monkeypatch.setattr(ranking, "rank_span", counting)
-    source = sturmian_characteristic((60, 1))
-    counts = [perm_set(source, n).count for n in range(2, 7)]
+def test_sturmian_60_1_counts_from_letters():
+    # Far-apart shifts of sturmian:60,1 agree on more letters than any
+    # lookahead limit allows; no window holds them, so no count needs them.
+    counts = [perm_set(sturmian_characteristic((60, 1)), n).count for n in range(2, 7)]
     assert counts == [2, 3, 4, 5, 6]  # Makarov: n patterns of length n
-    assert len(failed) <= 1
-    # At twice the failed growth's letter limit or more, the growth is tried
-    # again, and here it separates.
-    held = source._ranks.size
-    global_ranks(source, held + 1, max_horizon=60_000)
-    assert source._ranks.size == 2 * held
-    assert len(failed) <= 1
 
 
 # -- prefix names ------------------------------------------------------------------
