@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                            f"(default {DEFAULT_SCAN_WINDOW} or PERMLEX_SCAN_WINDOW)")
         if scan or horizon:
             p.add_argument("--max-horizon", type=int, default=None,
-                           help="letters two shifts may agree on before giving up "
+                           help="shifts below a reach R may agree on up to "
+                           "max(16*R, 4*MAX_HORIZON) letters on every path "
                            f"(default {DEFAULT_MAX_HORIZON} or PERMLEX_MAX_HORIZON)")
 
     gen = sub.add_parser("gen", help="emit a prefix of a word")

@@ -63,9 +63,9 @@ from .perms import (
 from .ranking import DEFAULT_MAX_HORIZON, separation_depth, window_patterns
 from .words import (
     DEFAULT_FACTOR_WINDOW,
+    DoubledSource,
     RunBounds,
     WordSource,
-    double,
     recurrence_bound,
     run_bounds,
 )
@@ -80,10 +80,15 @@ def _doubled_view(source: WordSource) -> WordSource:
     """One shared doubled wrapper per source, so its caches accumulate.
 
     The wrapper reaches its inner word through a weak proxy: the source owns
-    the wrapper, and a strong back reference would form a cycle.
+    the wrapper, and a strong back reference would form a cycle.  Its hard
+    limit is twice the source's, so it holds the copies of every letter the
+    source has, and a capped source's doubled windows reach as far as its
+    own windows do.
     """
     if source._doubled_twin is None:
-        source._doubled_twin = double(weakref.proxy(source))
+        source._doubled_twin = DoubledSource(
+            weakref.proxy(source), 2 * source.hard_limit
+        )
     return source._doubled_twin
 
 

@@ -5,19 +5,19 @@ The window ``[a, a+n)`` of a word gets the pattern whose i-th entry is the
 lexicographic order.  Patterns are plain tuples of ints.
 
 Two routines of one ranking engine compute patterns.  ``subpermutation``
-ranks the shifts of one window under a strict comparison horizon
-(``ranking.rank_span``).  The bulk path, ``_pattern_rows``, sorts one window
-per distinct factor of length n+H (H the separation depth over the scan,
-measured from letters by ``ranking.separation_depth``; factors keyed by the
-integer names of ``ranking.prefix_names``), ordering each window's shifts by
-their names 2**j >= H+1 letters long (``ranking.window_patterns``), so it
-compares only shifts that share a window.  The two paths never give
-different patterns, and raise the same error class unless two shifts of the
-window agree past ``subpermutation``'s lookahead.  Both bulk callers share
-``_pattern_rows``: enumeration (``perm_set``), whose saturation rounds sort
-only factors no round has shown, and the transfer audits.
-``compare_shifts`` orders a single pair and names the offset where the two
-shifts first differ.
+ranks the shifts of one window by prefix doubling (``ranking.shift_ranks``),
+doubling its lookahead until they separate.  The bulk path,
+``_pattern_rows``, sorts one window per distinct factor of length n+H (H the
+separation depth over the scan, measured from letters by
+``ranking.separation_depth``; factors keyed by the integer names of
+``ranking.prefix_names``), ordering each window's shifts by their names
+2**j >= H+1 letters long (``ranking.window_patterns``), so it compares only
+shifts that share a window.  Both bulk callers share ``_pattern_rows``:
+enumeration (``perm_set``), whose saturation rounds sort only factors no
+round has shown, and the transfer audits.  ``compare_shifts`` orders a
+single pair and names the offset where the two shifts first differ.
+Every path keeps the one agreement rule of ``ranking``, so the scalar and
+the bulk paths give the same pattern or raise the same error class.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ from .errors import (
 )
 from .ranking import (
     DEFAULT_MAX_HORIZON,
+    _agreement_limit,
+    _out_of_letters,
     prefix_names,
-    rank_span,
     separation_depth,
+    shift_ranks,
     window_patterns,
 )
 from .words import DoubledSource, WordSource
@@ -81,9 +83,11 @@ def compare_shifts(
     Returns ``(ordering, witness)``: ordering is LESS (-1) when the shift at
     ``a`` comes first and GREATER (+1) otherwise; witness is the offset of the
     first differing letter.  Raises ``HorizonExhausted`` if the shifts agree
-    on ``max_horizon`` letters, and ``PrefixTooShort`` if the word ends first.
-    The first 64 offsets are compared before any later one, and the compared
-    slice then doubles, so a near difference never grows the prefix far.
+    on more than ``ranking._agreement_limit`` letters, at the reach
+    ``max(a, b) + 1``, and ``ranking._out_of_letters`` if the letters run
+    out first.  The first 64 offsets are compared before any later one, and
+    the compared slice then doubles, so a near difference never grows the
+    prefix far.
     """
     if a < 0 or b < 0:
         raise DomainError("shift positions must be nonnegative")
@@ -91,8 +95,12 @@ def compare_shifts(
         raise DomainError("shifts at equal positions are identical")
     top, end = max(a, b), source.max_available()
     if top >= end:
-        raise PrefixTooShort(f"the shift at {top} starts past all {end} letters")
-    span = min(max_horizon, end - top)
+        raise _out_of_letters(
+            source, f"the shift at {top} starts past all {end} letters"
+        )
+    limit = _agreement_limit(top + 1, max_horizon)
+    # Shifts that agree on all of the offsets 0..limit agree on more than it.
+    span = min(limit + 1, end - top)
     lo, hi = 0, min(64, span)
     while lo < hi:
         w = source.letters(top + hi)
@@ -101,14 +109,10 @@ def compare_shifts(
             c = lo + int(diff[0])
             return (LESS if w[a + c] < w[b + c] else GREATER, c)
         lo, hi = hi, min(2 * hi, span)
-    if span < max_horizon:
-        raise PrefixTooShort(
-            f"shifts at {a} and {b} agree through offset {span - 1} "
-            "and the word ends"
-        )
-    raise HorizonExhausted(
-        f"shifts at {a} and {b} agree on the first {max_horizon} letters"
-    )
+    pair = f"shifts at {a} and {b} of {source.spec_string()}"
+    if span <= limit:
+        raise _out_of_letters(source, f"{pair} agree until the last letter")
+    raise HorizonExhausted(f"{pair} agree on more than {limit} letters")
 
 
 def subpermutation(
@@ -116,17 +120,42 @@ def subpermutation(
 ) -> Perm:
     """Pattern of the window ``[a, a+n)``: entry i is the rank of shift ``a+i``.
 
-    The lookahead starts at 64 letters and doubles up to ``max_horizon``.
-    As with :func:`compare_shifts`, two shifts that agree on ``max_horizon``
-    letters raise ``HorizonExhausted``, and two that agree until the word
-    ends raise ``PrefixTooShort``.
+    The lookahead starts at 64 letters and doubles, reading letters only as
+    far as the source supplies them.  As with :func:`compare_shifts`, at
+    the reach ``a + n``, two shifts that agree on more than
+    ``ranking._agreement_limit`` letters raise ``HorizonExhausted``, and
+    running out of letters raises ``ranking._out_of_letters``.
     """
     if a < 0:
         raise DomainError("window start must be nonnegative")
     if n < 1:
         raise DomainError("window length must be at least 1")
-    ranks = rank_span(source, a, n, min(64, max_horizon), max_horizon)
-    return tuple((np.argsort(np.argsort(ranks)) + 1).tolist())
+    end = source.max_available()
+    if a + n > end:
+        raise _out_of_letters(
+            source, f"the window [{a}, {a + n}) of {source.spec_string()} "
+            "runs past the last letter"
+        )
+    limit = _agreement_limit(a + n, max_horizon)
+    # Ranks over limit + 1 letters tie only on shifts that agree past the limit.
+    horizon = min(64, limit + 1)
+    while True:
+        w = source.letters(min(a + n + horizon, end))[a:]
+        try:
+            ranks = shift_ranks(w, n, horizon)
+        except PrefixTooShort:
+            raise _out_of_letters(
+                source, f"two of the shifts {a}..{a + n - 1} agree until the "
+                f"last letter of {source.spec_string()}"
+            ) from None
+        if ranks is not None:
+            return tuple((np.argsort(np.argsort(ranks)) + 1).tolist())
+        if horizon > limit:
+            raise HorizonExhausted(
+                f"two of the shifts {a}..{a + n - 1} of {source.spec_string()} "
+                f"agree on more than {limit} letters"
+            )
+        horizon = min(2 * horizon, limit + 1)
 
 
 def form_of(p: Perm) -> str:
@@ -320,9 +349,9 @@ def _enumerate(
         window *= 2
         if len(grown) == len(members):
             # Windows past the scan, up to a finite word's end, may still
-            # show a new pattern.
-            finite = source.max_available() < source.hard_limit
-            return PermSet(spec, n, grown, window, saturated=not finite)
+            # show a new pattern; a source cut by its hard limit goes on.
+            ends = isinstance(_out_of_letters(source, spec), PrefixTooShort)
+            return PermSet(spec, n, grown, window, saturated=not ends)
         members = grown
 
 

@@ -8,11 +8,6 @@ returns ``None`` only when two shifts agree on all ``horizon`` letters.  The
 end of the buffer is the end of the word: two shifts that agree until it
 raise ``PrefixTooShort``, since no further letter can order them.
 
-``rank_span`` is the one horizon loop.  It ranks a span of shifts of a
-source, doubling the horizon up to a limit and reading letters only as far
-as the source supplies them.  Its one caller is ``perms.subpermutation``,
-which ranks the shifts of a single window.
-
 ``separation_depth`` reads how far shifts less than n apart agree over a
 scan's shifts from letters alone, out of ``WordSource._agreement``.
 
@@ -25,19 +20,41 @@ at level floor(log2 L), packed into one int64 key that sorts as the factor
 does.  ``window_patterns`` orders the shifts of each window by their names
 at the first level longer than the separation depth, which is the one
 shift order the bulk paths hold.
+
+Every path that compares shifts (``separation_depth`` and the bulk paths,
+``perms.subpermutation`` and ``perms.compare_shifts``) keeps one agreement
+rule: how far shifts may agree is ``_agreement_limit``, and what running out
+of letters raises is ``_out_of_letters``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import HorizonExhausted, PrefixTooShort
+from .errors import HorizonExhausted, LimitExceeded, PrefixTooShort
 from .words import WordSource
 
-#: Default lookahead for scalar shift comparisons; a bulk scan's depth may
-#: reach the larger of 4 times this and 16 times its reach (see
-#: separation_depth).
+#: Sets, with a comparison's reach, how far its shifts may agree on every
+#: path: up to the larger of 4 times this and 16 times the reach.
 DEFAULT_MAX_HORIZON = 4096
+
+
+def _agreement_limit(reach: int, max_horizon: int) -> int:
+    """The most letters two shifts below ``reach`` may agree on; a path
+    whose shifts agree on more raises ``HorizonExhausted``."""
+    return max(16 * reach, 4 * max_horizon)
+
+
+def _out_of_letters(source: WordSource, what: str) -> PrefixTooShort | LimitExceeded:
+    """The error for shifts that need a letter past ``source.max_available()``:
+    ``PrefixTooShort`` when the word ends there, ``LimitExceeded`` when only
+    the source's hard limit cuts a word that goes on."""
+    end = source.max_available()
+    if end < source.hard_limit:
+        return PrefixTooShort(f"{what}: the word ends after {end} letters")
+    return LimitExceeded(
+        f"{what}: the word goes on past the hard limit of {end} letters"
+    )
 
 
 def shift_ranks(
@@ -106,33 +123,6 @@ def _merge(rank: np.ndarray, step: int, end: int) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def rank_span(
-    source: WordSource, start: int, positions: int, horizon: int, limit: int
-) -> np.ndarray:
-    """Ranks of the shifts ``start .. start+positions-1`` of ``source``.
-
-    Doubles the horizon from ``horizon`` up to ``limit`` until every pair
-    separates, reading letters only as far as the source supplies them.
-    Raises ``HorizonExhausted`` when two shifts agree on ``limit`` letters
-    and ``PrefixTooShort`` when two agree until the word ends.
-    """
-    horizon = min(horizon, limit)
-    while True:
-        stop = min(start + positions + horizon, source.max_available())
-        try:
-            got = shift_ranks(source.letters(stop)[start:], positions, horizon)
-        except PrefixTooShort as exc:
-            raise PrefixTooShort(f"{source.spec_string()} at {start}: {exc}") from None
-        if got is not None:
-            return got
-        if horizon >= limit:
-            raise HorizonExhausted(
-                f"shifts {start}..{start + positions - 1} of "
-                f"{source.spec_string()} do not separate within {limit} letters"
-            )
-        horizon = min(2 * horizon, limit)
-
-
 def prefix_names(
     source: WordSource, positions: np.ndarray, length: int
 ) -> np.ndarray:
@@ -191,18 +181,18 @@ def separation_depth(
     ``_agreement = (over, runs)``: ``runs[d]`` is the longest run of ``w[i]
     == w[i+d]`` with ``i + d < over``.  A depth over more shifts is a safe
     overestimate, so a request past the table is measured at twice its
-    distance and reach, the reach of the scan's next doubling.  A run that
-    reaches a finite word's end raises ``PrefixTooShort``, and one longer
-    than the larger of ``4 * max_horizon`` and ``16 * reach`` raises
-    ``HorizonExhausted``.
+    distance and reach, the reach of the scan's next doubling.  A run longer
+    than ``_agreement_limit(reach, max_horizon)`` raises
+    ``HorizonExhausted``, and one that runs out of letters raises
+    ``_out_of_letters``.
     """
     over, runs = source._agreement
     if n > runs.size or reach > over:
-        limit = max(16 * reach, 4 * max_horizon)
+        limit = _agreement_limit(reach, max_horizon)
         grown = (max(2 * n, runs.size), max(2 * reach, over))
         try:
             source._agreement = (grown[1], _agreement_runs(source, *grown, limit))
-        except (HorizonExhausted, PrefixTooShort):
+        except (HorizonExhausted, LimitExceeded, PrefixTooShort):
             # Pairs past the request may run out or agree too long; the
             # exact request alone decides errors.
             source._agreement = (reach, _agreement_runs(source, n, reach, limit))
@@ -213,6 +203,8 @@ def _agreement_runs(
     source: WordSource, size: int, reach: int, limit: int
 ) -> np.ndarray:
     # Longest agreement at each distance below ``size`` over [0, reach).
+    # reach + limit letters settle every run up to the limit, and a run
+    # still open there is longer.
     cap = min(source.max_available(), reach + limit)
     w = source.letters(min(reach + size + 64, cap))
     runs = np.zeros(size, dtype=np.int64)
@@ -223,9 +215,9 @@ def _agreement_runs(
             run = _longest_agreement(w, d, reach)
         if run is None or run > limit:
             pair = f"shifts {d} apart among the first {reach} of {source.spec_string()}"
-            if run is None and w.size == source.max_available():
-                raise PrefixTooShort(f"{pair} agree until the word ends")
-            raise HorizonExhausted(f"{pair} do not separate within {limit} letters")
+            if run is None and w.size < reach + limit:
+                raise _out_of_letters(source, f"{pair} agree until the last letter")
+            raise HorizonExhausted(f"{pair} agree on more than {limit} letters")
         runs[d] = run
     return runs
 
@@ -253,14 +245,15 @@ def window_patterns(
     depth.bit_length() of the source's name table, 2**j >= depth + 1
     letters long, differ and order them.  Two shifts of a window that share
     a name raise ``HorizonExhausted``: a depth too small gives no order.  A
-    window past a finite word's end raises ``PrefixTooShort``.
+    window past the last letter raises ``_out_of_letters``.
     """
     starts = np.asarray(starts, dtype=np.int64)
     reach = int(starts.max(initial=0)) + n
     if reach > source.max_available():
-        raise PrefixTooShort(
-            f"the window [{reach - n}, {reach}) runs past the end of "
-            f"{source.spec_string()}"
+        raise _out_of_letters(
+            source,
+            f"the window [{reach - n}, {reach}) of {source.spec_string()} "
+            "runs past the last letter",
         )
     j = int(depth).bit_length()
     _, levels = _name_levels(source, reach - 1 + (1 << j), j)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .doubling import check_bounds
 from .errors import PermlexError, Unsaturated
 from .formulas import (
@@ -22,11 +24,10 @@ from .formulas import (
     tm_tau,
 )
 from .perms import DEFAULT_SCAN_WINDOW, perm_set, perm_set_parity
-from .ranking import DEFAULT_MAX_HORIZON
+from .ranking import DEFAULT_MAX_HORIZON, prefix_names
 from .words import (
     WordSource,
     double,
-    factors,
     fibonacci_source,
     run_bounds,
     recurrence_bound,
@@ -97,14 +98,15 @@ def _saturated_count(
 
 
 def _saturated_factor_count(source: WordSource, n: int, start_window: int) -> int:
-    window = max(start_window, 2 * n)
-    count = len(factors(source, n, window))
+    window, count = max(start_window, 2 * n), None
     while True:
-        window *= 2
-        grown = len(factors(source, n, window))
+        # The length-n factors within the first ``window`` letters, as
+        # ``words.factors`` finds them, counted by their prefix names.
+        starts = np.arange(window - n + 1)
+        grown = int(np.unique(prefix_names(source, starts, n)).size)
         if grown == count:
             return count
-        count = grown
+        window, count = 2 * window, grown
 
 
 def suite_sturmian(

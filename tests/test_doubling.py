@@ -375,6 +375,17 @@ def test_audit_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
 
 
 @pytest.mark.parametrize("map_name", list(MAPS))
+@pytest.mark.parametrize("cap", [120, 148])
+def test_audit_of_a_capped_word_reads_the_doubled_copies_of_its_letters(cap, map_name):
+    # The base windows and their factors fit in the capped word's letters, so
+    # the doubled windows fit in their copies and the audit is the uncapped
+    # one.  A doubled view cut at the base's cap, half of those copies, once
+    # ended the doubled windows early.
+    capped = audit_map(fibonacci_source(hard_limit=cap), map_name, 12, 64)
+    assert capped == audit_map(fibonacci_source(), map_name, 12, 64)
+
+
+@pytest.mark.parametrize("map_name", list(MAPS))
 @pytest.mark.parametrize("spec", ["fibonacci", "sturmian:2"])
 def test_audit_groups_by_the_base_factor_alone(spec, map_name):
     # The twin has named and measured far more doubled shifts than the scan

@@ -11,6 +11,7 @@ from permlex import (
     DomainError,
     HorizonExhausted,
     LengthTooSmall,
+    LimitExceeded,
     MorphicSource,
     PermlexError,
     PrefixTooShort,
@@ -151,11 +152,18 @@ def test_subpermutation_validation(tm):
 _FINITE = "0110" * 8 + "0"
 
 
-def _agreement_source(kind, text):
+_CAPPED = {"thue-morse": thue_morse_source, "fibonacci": fibonacci_source}
+
+
+def _agreement_source(kind, arg):
     if kind == "explicit":
-        return explicit_source(text)
-    period = (0, *map(int, text))  # the fixed point is period repeated
-    return MorphicSource({0: period, 1: period})
+        return explicit_source(arg)
+    if kind == "periodic":
+        period = (0, *map(int, arg))  # the fixed point is period repeated
+        return MorphicSource({0: period, 1: period})
+    if kind == "sturmian":
+        return sturmian_characteristic((arg,))
+    return _CAPPED[kind](hard_limit=arg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,6 +171,8 @@ def _agreement_source(kind, text):
     word=st.one_of(
         st.tuples(st.just("explicit"), st.text("01", min_size=1, max_size=48)),
         st.tuples(st.just("periodic"), st.text("01", min_size=1, max_size=5)),
+        # Infinite words cut by their hard limit, near the drawn windows.
+        st.tuples(st.sampled_from(sorted(_CAPPED)), st.integers(16, 64)),
     ),
     a=st.integers(min_value=0, max_value=40),
     n=st.integers(min_value=1, max_value=16),
@@ -175,18 +185,96 @@ def _agreement_source(kind, text):
 # The word 001001...: shifts 0 and 3 never separate, but no window of two
 # shifts holds both.
 @example(word=("periodic", "01"), a=2, n=2)
+# Shifts 0 and 1 agree on 4,999 letters, past max_horizon but within the
+# agreement limit.
+@example(word=("sturmian", 5000), a=0, n=2)
+@example(word=("sturmian", 5000), a=0, n=3)
+@example(word=("thue-morse", 100), a=40, n=16)
+@example(word=("fibonacci", 40), a=30, n=10)
 def test_scalar_and_bulk_paths_agree(word, a, n):
     # subpermutation ranks one window's shifts; the bulk path orders them by
     # names as long as the separation depth over the shifts up to the window
-    # demands.  They give the same pattern or raise the same class.
+    # demands; compare_shifts orders the window's end shifts.  Under one
+    # agreement rule they give the same order or raise the same class.
     source = _agreement_source(*word)
     try:
         scalar = subpermutation(source, a, n)
     except PermlexError as exc:
+        scalar = exc
         with pytest.raises(type(exc)):
             _bulk_pattern(_agreement_source(*word), a, n)
+    else:
+        assert _bulk_pattern(source, a, n) == scalar
+    if n < 2:
         return
-    assert _bulk_pattern(source, a, n) == scalar
+    try:
+        ordering, _ = compare_shifts(source, a, a + n - 1)
+    except PermlexError as exc:
+        # A pair the window holds and cannot order leaves it no pattern.
+        assert type(scalar) is type(exc)
+    else:
+        if not isinstance(scalar, PermlexError):
+            assert ordering == (LESS if scalar[0] < scalar[-1] else GREATER)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scalar_path_keeps_the_bulk_agreement_limit(n):
+    # Shifts 0 and 1 of sturmian:5000 agree on 4,999 letters: more than
+    # max_horizon, within the limit max(16 * reach, 4 * max_horizon) that
+    # every path keeps.
+    word = sturmian_characteristic((5000,))
+    assert subpermutation(word, 0, n) == tuple(range(1, n + 1))
+    assert _bulk_pattern(word, 0, n) == tuple(range(1, n + 1))
+    assert compare_shifts(word, 0, 1) == (LESS, 4999)
+
+
+@pytest.mark.parametrize("d", [33, 34])
+def test_every_path_allows_agreement_up_to_the_limit_and_no_more(d):
+    # Shifts 0 and 1 of sturmian:d agree on d - 1 letters.  With reach 2 and
+    # max_horizon 1 the limit is 32 letters: 32 are allowed, 33 are not.
+    word = sturmian_characteristic((d,))
+    paths = [
+        lambda: compare_shifts(word, 0, 1, max_horizon=1),
+        lambda: subpermutation(word, 0, 2, max_horizon=1),
+        lambda: separation_depth(word, 2, 2, max_horizon=1),
+    ]
+    if d == 34:
+        for path in paths:
+            with pytest.raises(HorizonExhausted, match="more than 32 letters"):
+                path()
+    else:
+        assert [path() for path in paths] == [(LESS, 32), (1, 2), 32]
+
+
+@pytest.mark.parametrize(
+    "call,build,cap",
+    [
+        pytest.param(
+            lambda w: perm_set(w, 40, scan_window=64), fibonacci_source, 170,
+            id="perm_set",
+        ),
+        pytest.param(
+            lambda w: subpermutation(w, 95, 5), thue_morse_source, 100,
+            id="subpermutation",
+        ),
+        pytest.param(
+            lambda w: compare_shifts(w, 60, 94), fibonacci_source, 100,
+            id="compare_shifts",
+        ),
+        pytest.param(
+            lambda w: window_patterns(w, [62], 5, 3), thue_morse_source, 64,
+            id="window_patterns",
+        ),
+    ],
+)
+def test_a_capped_word_runs_out_of_letters_but_goes_on(call, build, cap):
+    # A source cut by its hard limit goes on past it, so a call that needs a
+    # letter past the cap raises LimitExceeded and names the cap.  The same
+    # letters as an explicit word end there.
+    with pytest.raises(LimitExceeded, match=f"past the hard limit of {cap} letters"):
+        call(build(hard_limit=cap))
+    with pytest.raises(PrefixTooShort, match=f"the word ends after {cap} letters"):
+        call(explicit_source(build().prefix_str(cap)))
 
 
 def _bulk_pattern(source, a, n):
