@@ -421,7 +421,7 @@ def _bulk_windows(
     bounds = _bounds_covering(source, scan_window + n)
     k = bounds.k
     starts, weights, base_patterns = _pattern_rows(
-        source, n + k, 0, scan_window, None, max_horizon, {}
+        source, n + k, scan_window, None, max_horizon
     )
     depth = separation_depth(source, n, scan_window + n, max_horizon)
     core_patterns = restrict_rows(base_patterns, 0, k)

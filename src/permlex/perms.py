@@ -13,8 +13,8 @@ separation depth over the scan, measured from letters by
 ``ranking.prefix_names``), ordering each window's shifts by their names
 2**j >= H+1 letters long (``ranking.window_patterns``), so it compares only
 shifts that share a window.  Both bulk callers share ``_pattern_rows``:
-enumeration (``perm_set``), whose saturation rounds sort only factors no
-round has shown, and the transfer audits.  ``compare_shifts`` orders a
+enumeration (``perm_set``), each of whose saturation rounds is one call over
+the doubled scan, and the transfer audits.  ``compare_shifts`` orders a
 single pair and names the offset where the two shifts first differ.
 Every path keeps the one agreement rule of ``ranking``, so the scalar and
 the bulk paths give the same pattern or raise the same error class.
@@ -244,56 +244,33 @@ class PermSet:
 def _pattern_rows(
     source: WordSource,
     n: int,
-    lo: int,
-    hi: int,
+    scan: int,
     parity: str | None,
     max_horizon: int,
-    seen: dict[int, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Patterns of the windows starting in ``[lo, hi)`` (of one parity), one
+    """Patterns of the windows starting in ``[0, scan)`` (of one parity), one
     row per distinct factor ``w[a, a+n+H)``, H the separation depth over the
-    shifts ``[0, hi+n-1)``: that factor fixes the window's pattern.
+    shifts ``[0, scan+n-1)``: that factor fixes the window's pattern.
 
-    Returns ``(reps, weights, rows)``: the groups of ``_factor_groups`` and
-    the pattern of each group's first start.  ``seen`` maps a factor length to
-    one start of each factor that earlier calls showed, which gets no row here.
+    Returns ``(reps, weights, rows)``: the first start of each factor,
+    ascending, how many starts share it, and its window's pattern.  Starts
+    are grouped by the keys of ``ranking.prefix_names``; a start whose
+    factor would run past the end of the word stands alone, with weight 1.
     """
-    starts = np.arange(lo, hi)
+    starts = np.arange(scan)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
-    depth = separation_depth(source, n, hi + n - 1, max_horizon)
+    depth = separation_depth(source, n, scan + n - 1, max_horizon)
     span = n + depth
-    reps, weights, seen[span] = _factor_groups(source, starts, span, seen.get(span))
-    return reps, weights, window_patterns(source, reps, n, depth)
-
-
-def _factor_groups(
-    source: WordSource, starts: np.ndarray, span: int, seen: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Group ascending ``starts`` by their factor ``w[a, a+span)``.
-
-    Returns ``(reps, weights, seen)``: the first start of each group whose
-    factor is not in ``seen``, ascending, how many of ``starts`` share its
-    factor, and one start of every factor seen so far.  Starts are keyed by
-    ``ranking.prefix_names``, whose names a growth of the source's name table
-    renumbers, so ``seen`` holds starts, keyed afresh on every call, and never
-    keys.  A start whose factor would run past the end of the word stands
-    alone, with weight 1.
-    """
     cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))
-    reps, weights = starts[cut:], np.ones(starts.size - cut, dtype=np.int64)
-    if not cut:
-        return reps, weights, seen
-    known = 0 if seen is None else seen.size
-    pool = starts[:cut] if seen is None else np.concatenate([seen, starts[:cut]])
-    # np.unique gives each key's first index, so a seen factor's is < known.
+    # np.unique gives each key's first index; sorted, they are the first starts.
     _, first, counts = np.unique(
-        prefix_names(source, pool, span), return_index=True, return_counts=True
+        prefix_names(source, starts[:cut], span), return_index=True, return_counts=True
     )
-    fresh = np.flatnonzero(first >= known)
-    fresh = fresh[np.argsort(first[fresh])]
-    reps = np.concatenate([pool[first[fresh]], reps])
-    return reps, np.concatenate([counts[fresh], weights]), pool[first]
+    order = np.argsort(first)
+    reps = np.concatenate([starts[first[order]], starts[cut:]])
+    weights = np.concatenate([counts[order], np.ones(starts.size - cut, np.int64)])
+    return reps, weights, window_patterns(source, reps, n, depth)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -327,32 +304,28 @@ def _enumerate(
         raise DomainError("scan window must be at least 2")
     spec = source.spec_string()
     window = scan_window
-    # A depth grown for the first round covers the first doubling's reach
-    # (see separation_depth), so the next round keeps its span and keys.
-    seen: dict[int, np.ndarray] = {}
-    rows = _pattern_rows(source, n, 0, window, parity, max_horizon, seen)[2]
-    members = _unique_patterns(rows)
-    if not saturate:
-        return PermSet(spec, n, members, window, saturated=False)
-    while True:
-        # Each round doubles the scan but sorts only the new starts
-        # [window, 2 * window) whose factors no round has shown.  The windows
-        # only grow, so an unchanged count across one doubling means an
-        # unchanged set.
+    while saturate:
+        # Each round scans the doubled window [0, 2 * window) in one call.
+        # Every factor of [0, window) has its first start there and the reps
+        # ascend, so the doubling adds a pattern exactly when a distinct row
+        # first shows at a rep past window.
         try:
-            fresh = _pattern_rows(
-                source, n, window, 2 * window, parity, max_horizon, seen
-            )
+            reps, _, rows = _pattern_rows(source, n, 2 * window, parity, max_horizon)
         except (LimitExceeded, PrefixTooShort):
-            return PermSet(spec, n, members, window, saturated=False)
-        grown = members | _unique_patterns(fresh[2])
-        window *= 2
-        if len(grown) == len(members):
+            break
+        first = np.unique(_row_keys(rows), return_index=True)[1]
+        if reps[first].max() < window:
             # Windows past the scan, up to a finite word's end, may still
             # show a new pattern; a source cut by its hard limit goes on.
             ends = isinstance(_out_of_letters(source, spec), PrefixTooShort)
-            return PermSet(spec, n, grown, window, saturated=not ends)
-        members = grown
+            # Drop the full rows before the tuples are built.
+            rows = rows[first]
+            members = frozenset(map(tuple, rows.tolist()))
+            return PermSet(spec, n, members, 2 * window, saturated=not ends)
+        window *= 2
+    # No saturation asked for, or the doubled scan ran out of letters.
+    rows = _pattern_rows(source, n, window, parity, max_horizon)[2]
+    return PermSet(spec, n, _unique_patterns(rows), window, saturated=False)
 
 
 def perm_set(

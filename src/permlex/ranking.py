@@ -136,11 +136,11 @@ def prefix_names(
     source owns.  A finite word's factors stop at its end, and one cut short
     sorts before every longer factor it begins, as the end sentinel -1 does
     in ``shift_ranks``.  The caller keeps every factor within
-    ``source.max_available()``, as ``perms._factor_groups`` does.
+    ``source.max_available()``, as ``perms._pattern_rows`` does.
     """
     positions = np.asarray(positions, dtype=np.int64)
     j = length.bit_length() - 1
-    size, levels = _name_levels(source, int(positions.max()) + length, j)
+    size, levels = _name_levels(source, int(positions.max(initial=0)) + length, j)
     head = levels[j]
     # A factor cut shorter than 2**j by the word's end has a head name no
     # other position shares, so its tail name, clipped to the table, never
@@ -181,7 +181,8 @@ def separation_depth(
     ``_agreement = (over, runs)``: ``runs[d]`` is the longest run of ``w[i]
     == w[i+d]`` with ``i + d < over``.  A depth over more shifts is a safe
     overestimate, so a request past the table is measured at twice its
-    distance and reach, the reach of the scan's next doubling.  A run longer
+    distance and at its reach plus twice its distance, which covers the
+    longer windows a scan of the same starts asks for next.  A run longer
     than ``_agreement_limit(reach, max_horizon)`` raises
     ``HorizonExhausted``, and one that runs out of letters raises
     ``_out_of_letters``.
@@ -189,7 +190,7 @@ def separation_depth(
     over, runs = source._agreement
     if n > runs.size or reach > over:
         limit = _agreement_limit(reach, max_horizon)
-        grown = (max(2 * n, runs.size), max(2 * reach, over))
+        grown = (max(2 * n, runs.size), max(reach + 2 * n, over))
         try:
             source._agreement = (grown[1], _agreement_runs(source, *grown, limit))
         except (HorizonExhausted, LimitExceeded, PrefixTooShort):
@@ -245,11 +246,15 @@ def window_patterns(
     depth.bit_length() of the source's name table, 2**j >= depth + 1
     letters long, differ and order them.  Two shifts of a window that share
     a name raise ``HorizonExhausted``: a depth too small gives no order.  A
-    window past the last letter raises ``_out_of_letters``.
+    window past the last letter raises ``_out_of_letters``, and so does one
+    whose order the word's end decides: names cut at the end sort a shorter
+    factor first, so the windows whose names reach past the last letter are
+    ranked again with the end sorted last, as ``shift_ranks`` does, and must
+    keep their order.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    reach = int(starts.max(initial=0)) + n
-    if reach > source.max_available():
+    reach, end = int(starts.max(initial=0)) + n, source.max_available()
+    if reach > end:
         raise _out_of_letters(
             source,
             f"the window [{reach - n}, {reach}) of {source.spec_string()} "
@@ -265,6 +270,20 @@ def window_patterns(
             f"agree on {1 << j} letters, past the depth {depth}"
         )
     order = np.argsort(windows, axis=1)
+    late = np.flatnonzero(starts + (n - 1 + (1 << j)) > end)
+    if late.size:
+        # The shifts from the first late start on, ranked over 2**j letters
+        # with the letters past the end sorted last.
+        lo = int(starts[late].min())
+        rank = source.letters(end)[lo:].astype(np.int64)
+        for i in range(j):
+            rank = _merge(rank, 1 << i, rank.size)
+        last = np.lib.stride_tricks.sliding_window_view(rank, n)[starts[late] - lo]
+        if not np.array_equal(order[late], np.argsort(last, axis=1)):
+            raise _out_of_letters(
+                source, f"two shifts of a length-{n} window of "
+                f"{source.spec_string()} agree until the last letter"
+            )
     patterns = np.empty(order.shape, dtype=np.int64)
     rows = np.arange(order.shape[0])[:, None]
     patterns[rows, order] = np.arange(1, n + 1)[None, :]

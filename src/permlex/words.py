@@ -168,7 +168,9 @@ class SturmianSource(WordSource):
     Uses the standard-sequence recursion with s(-1) = 1, s(0) = 0 and
     s(i) = s(i-1)^d_i s(i-2), where the directive entries d_1 d_2 ... repeat
     forever.  Every s(i) is a prefix of s(i+1), so the limit word is
-    well defined and generation can resume from cached state.
+    well defined and generation can resume from cached state.  Up to d
+    copies of s(i) are a prefix of s(i+1) = s(i)^d s(i-1), so a request
+    they cover is served without building s(i+1).
     """
 
     def __init__(
@@ -187,12 +189,13 @@ class SturmianSource(WordSource):
 
     def _generate(self, n: int) -> np.ndarray:
         prev, cur, step = self._prev, self._cur, self._step
-        while len(cur) < n:
-            d = self.directive[step % len(self.directive)]
+        d = self.directive[step % len(self.directive)]
+        while n > d * len(cur):
             prev, cur = cur, cur * d + prev
             step += 1
+            d = self.directive[step % len(self.directive)]
         self._prev, self._cur, self._step = prev, cur, step
-        return _str_to_letters(cur)
+        return _str_to_letters(cur * -(-n // len(cur)))
 
     def spec_string(self) -> str:
         return "sturmian:" + ",".join(str(d) for d in self.directive)

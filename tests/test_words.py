@@ -56,10 +56,18 @@ def test_fibonacci_prefix(fib):
     assert fib.prefix_str(2048) == naive_fibonacci(2048)
 
 
-@pytest.mark.parametrize("directive", [(1,), (2,), (3,), (1, 2), (2, 1, 1), (3, 1, 2)])
+@pytest.mark.parametrize(
+    "directive",
+    [(1,), (2,), (3,), (1, 2), (2, 1, 1), (3, 1, 2), (5000,), (60, 1), (1, 2, 3)],
+)
 def test_sturmian_prefix(directive):
+    # A request covered by d copies of s(i), a prefix of s(i+1) = s(i)^d
+    # s(i-1), builds no s(i+1): sturmian:5000's s(2) has 25,005,001 letters.
     src = sturmian_characteristic(directive)
-    assert src.prefix_str(1500) == naive_sturmian(directive, 1500)
+    for n in (8200, 30000, 100):
+        assert src.prefix_str(n) == naive_sturmian(directive, n)
+        if n == 8200:
+            assert src._prefix.size < 2 * 8200 + 5001
 
 
 def test_letters_are_read_only_int8(tm):
