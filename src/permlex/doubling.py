@@ -53,7 +53,6 @@ from .perms import (
     _pattern_rows,
     _restrict,
     _row_keys,
-    _unique_patterns,
     compare_shifts,
     is_permutation,
     perm_set,
@@ -611,7 +610,10 @@ def audit_map(
     # Untrimmed, the direct doubled windows are the rows _bulk_windows ranked
     # and asserted equal to the images; only a trimmed map ranks again.
     direct = image_rows if (lead, trail) == (0, 0) else bulk.direct(lead, trail)
-    surjective = _unique_patterns(images) == _unique_patterns(direct)
+    # Rows of both are permutations of 1..image_length, so their keys share
+    # one dtype and the sorted distinct keys are equal as bytes iff the sets are.
+    image_keys = np.unique(_row_keys(images))
+    surjective = image_keys.tobytes() == np.unique(_row_keys(direct)).tobytes()
 
     # Structural checks on the distinct full doubling images.
     full = _distinct_rows(bulk.images[reps])
@@ -647,7 +649,7 @@ def audit_map(
         k1=bulk.bounds.k1,
         scan_window=scan_window,
         domain_size=reps.size,
-        image_size=len(_distinct_rows(images)),
+        image_size=image_keys.size,
         collisions=tuple(collisions),
         surjective=surjective,
         left_restriction_faithful=left_faithful,

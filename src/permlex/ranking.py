@@ -185,11 +185,13 @@ def separation_depth(
     longer windows a scan of the same starts asks for next.  A run longer
     than ``_agreement_limit(reach, max_horizon)`` raises
     ``HorizonExhausted``, and one that runs out of letters raises
-    ``_out_of_letters``.
+    ``_out_of_letters``.  A table measured over more shifts, or under a
+    larger reach's limit, is measured again at the request when it passes
+    the request's limit, so errors depend on ``(n, reach)`` alone.
     """
     over, runs = source._agreement
+    limit = _agreement_limit(reach, max_horizon)
     if n > runs.size or reach > over:
-        limit = _agreement_limit(reach, max_horizon)
         grown = (max(2 * n, runs.size), max(reach + 2 * n, over))
         try:
             source._agreement = (grown[1], _agreement_runs(source, *grown, limit))
@@ -197,7 +199,10 @@ def separation_depth(
             # Pairs past the request may run out or agree too long; the
             # exact request alone decides errors.
             source._agreement = (reach, _agreement_runs(source, n, reach, limit))
-    return int(source._agreement[1][:n].max())
+    depth = int(source._agreement[1][:n].max())
+    if depth > limit:
+        depth = int(_agreement_runs(source, n, reach, limit).max())
+    return depth
 
 
 def _agreement_runs(

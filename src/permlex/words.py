@@ -1,10 +1,10 @@
 """Binary word sources.
 
 A :class:`WordSource` produces an unbounded 0/1 sequence one prefix at a time:
-morphic fixed points, characteristic Sturmian words, and the letter-doubling /
-complementation operators layered over any inner source.  Prefixes are cached
-and only ever grow — extending a source never rewrites letters already handed
-out, so positions are stable identifiers for shifts.
+morphic fixed points and characteristic Sturmian words, both fixed points of a
+cycle of morphisms that one block recursion generates, and the doubling and
+complementation operators over any inner source.  Prefixes are cached and only
+grow, never rewriting letters handed out, so positions identify shifts.
 
 Letters are stored as int8 arrays (values 0 and 1); ``prefix_str`` renders the
 same data as a digit string for display and hashing.
@@ -113,12 +113,39 @@ class WordSource:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
 
-class MorphicSource(WordSource):
+class _FixedPointSource(WordSource):
+    """Limit of a seed letter's images under a cycle of binary morphisms.
+
+    With steps s_1, s_2, ... repeating the cycle, level k holds the images
+    A_k(a) = s_1(...s_k(a)) of both letters, and A_{k+1}(a) is the blocks
+    A_k(b) over the letters b of s_{k+1}(a).  Each step maps the seed to a
+    word that begins with it, so a request that the first blocks of
+    A_{k+1}(seed) cover is served from them without building level k+1.
+    """
+
+    def __init__(self, steps: Sequence[tuple], seed: int, hard_limit: int):
+        super().__init__(hard_limit)
+        self.seed, self._steps, self._level = seed, tuple(steps), 0
+        self._images = (np.zeros(1, np.int8), np.ones(1, np.int8))
+
+    def _generate(self, n: int) -> np.ndarray:
+        while True:
+            images, step = self._images, self._steps[self._level % len(self._steps)]
+            blocks = [images[b] for b in step[self.seed]]
+            ends = np.cumsum([block.size for block in blocks])
+            if ends[-1] >= n:
+                return np.concatenate(blocks[: np.searchsorted(ends, n) + 1])
+            self._images = tuple(
+                np.concatenate([images[b] for b in step[a]]) for a in (0, 1)
+            )
+            self._level += 1
+
+
+class MorphicSource(_FixedPointSource):
     """Fixed point of a binary morphism prolongable at its seed letter.
 
-    The Thue-Morse word is the fixed point of 0 -> 01, 1 -> 10 starting
-    from 0.  Generation iterates the morphism on the cached prefix, which is
-    itself a prefix of the fixed point, so the output only ever extends.
+    The Thue-Morse word is the fixed point of 0 -> 01, 1 -> 10 at 0.  The
+    morphism is the one step of the block recursion.
     """
 
     def __init__(
@@ -127,30 +154,15 @@ class MorphicSource(WordSource):
         seed: int = 0,
         hard_limit: int = DEFAULT_HARD_LIMIT,
     ):
-        super().__init__(hard_limit)
-        images: dict[int, tuple[int, ...]] = {}
-        for letter in (0, 1):
-            image = tuple(int(x) for x in rules[letter])
-            if not image or any(x not in (0, 1) for x in image):
-                raise DomainError("morphism images must be nonempty binary words")
-            images[letter] = image
+        images = {a: tuple(int(x) for x in rules[a]) for a in (0, 1)}
+        if any(not image or set(image) - {0, 1} for image in images.values()):
+            raise DomainError("morphism images must be nonempty binary words")
         if seed not in (0, 1):
             raise DomainError("seed letter must be 0 or 1")
         if images[seed][0] != seed or len(images[seed]) < 2:
             raise DomainError("morphism is not prolongable at the seed letter")
+        super().__init__([(images[0], images[1])], seed, hard_limit)
         self.rules = images
-        self.seed = seed
-        self._images_str = {
-            str(a): "".join(str(x) for x in images[a]) for a in (0, 1)
-        }
-        self._word = str(seed)
-
-    def _generate(self, n: int) -> np.ndarray:
-        word = self._word
-        while len(word) < n:
-            word = word.translate(str.maketrans(self._images_str))
-        self._word = word
-        return _str_to_letters(word)
 
     def is_thue_morse(self) -> bool:
         return self.rules == _THUE_MORSE_RULES and self.seed == 0
@@ -158,44 +170,30 @@ class MorphicSource(WordSource):
     def spec_string(self) -> str:
         if self.is_thue_morse():
             return "thue-morse"
-        images = ";".join(f"{a}>{self._images_str[str(a)]}" for a in (0, 1))
+        images = ";".join(f"{a}>{''.join(map(str, self.rules[a]))}" for a in (0, 1))
         return f"morphic[{images}|seed={self.seed}]"
 
 
-class SturmianSource(WordSource):
+class SturmianSource(_FixedPointSource):
     """Characteristic Sturmian word built from a periodic directive.
 
-    Uses the standard-sequence recursion with s(-1) = 1, s(0) = 0 and
-    s(i) = s(i-1)^d_i s(i-2), where the directive entries d_1 d_2 ... repeat
-    forever.  Every s(i) is a prefix of s(i+1), so the limit word is
-    well defined and generation can resume from cached state.  Up to d
-    copies of s(i) are a prefix of s(i+1) = s(i)^d s(i-1), so a request
-    they cover is served without building s(i+1).
+    The directive d_1 d_2 ... repeats forever, and the word is the fixed
+    point at 0 of the cycle of standard morphisms phi_{d_1}, phi_{d_2}, ...,
+    phi_d mapping 0 -> 0^d 1 and 1 -> 0.  Level k holds the standard words
+    s(k) and s(k-1), the images of 0 and 1, and s(k+1) = s(k)^{d_{k+1}}
+    s(k-1), so a request that copies of s(k) cover builds no s(k+1).
     """
 
     def __init__(
         self, directive: Sequence[int], hard_limit: int = DEFAULT_HARD_LIMIT
     ):
-        super().__init__(hard_limit)
         entries = tuple(int(d) for d in directive)
         if not entries or any(d < 1 for d in entries):
             raise InvalidDirective(
                 f"directive entries must be integers >= 1, got {entries!r}"
             )
+        super().__init__([((0,) * d + (1,), (0,)) for d in entries], 0, hard_limit)
         self.directive = entries
-        self._prev = "1"
-        self._cur = "0"
-        self._step = 0
-
-    def _generate(self, n: int) -> np.ndarray:
-        prev, cur, step = self._prev, self._cur, self._step
-        d = self.directive[step % len(self.directive)]
-        while n > d * len(cur):
-            prev, cur = cur, cur * d + prev
-            step += 1
-            d = self.directive[step % len(self.directive)]
-        self._prev, self._cur, self._step = prev, cur, step
-        return _str_to_letters(cur * -(-n // len(cur)))
 
     def spec_string(self) -> str:
         return "sturmian:" + ",".join(str(d) for d in self.directive)

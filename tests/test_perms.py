@@ -682,6 +682,24 @@ def test_separation_depth_matches_naive(word, requests):
             assert depth == 0  # a window of one shift compares nothing
 
 
+@pytest.mark.parametrize("wide_first", [False, True])
+def test_horizon_errors_do_not_depend_on_earlier_calls(wide_first):
+    # The shifts 0 and 1 of sturmian:20001 agree on 20,000 letters: past the
+    # limit max(16 * reach, 16384) of a scan of 512, within that of a scan of
+    # 2048.  A table measured for the wider scan covers the narrower one, and
+    # must not lift its limit.
+    source = sturmian_characteristic((20001,))
+    for wide in (wide_first, not wide_first):
+        if wide:
+            assert perm_set(source, 2, scan_window=2048).count == 1
+            assert separation_depth(source, 2, 4096) == 20000
+        else:
+            with pytest.raises(HorizonExhausted):
+                perm_set(source, 2, scan_window=512)
+            with pytest.raises(HorizonExhausted):
+                separation_depth(source, 2, 1024)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     word=_FACTOR_WORD,

@@ -58,16 +58,69 @@ def test_fibonacci_prefix(fib):
 
 @pytest.mark.parametrize(
     "directive",
-    [(1,), (2,), (3,), (1, 2), (2, 1, 1), (3, 1, 2), (5000,), (60, 1), (1, 2, 3)],
+    [
+        (1,), (2,), (3,), (1, 2), (2, 1, 1), (3, 1, 2), (5000,), (60, 1),
+        (1, 2, 3), (5000, 5000),
+    ],
 )
 def test_sturmian_prefix(directive):
-    # A request covered by d copies of s(i), a prefix of s(i+1) = s(i)^d
+    # A request covered by copies of s(i), a prefix of s(i+1) = s(i)^d
     # s(i-1), builds no s(i+1): sturmian:5000's s(2) has 25,005,001 letters.
+    # Every block is shorter than the request, so the prefix stays below
+    # twice the longest one.
     src = sturmian_characteristic(directive)
+    longest = 0
     for n in (8200, 30000, 100):
         assert src.prefix_str(n) == naive_sturmian(directive, n)
-        if n == 8200:
-            assert src._prefix.size < 2 * 8200 + 5001
+        longest = max(longest, n)
+        assert src._prefix.size < 2 * longest
+
+
+def _iterate(images, n):
+    # Plain string iteration of a binary morphism prolongable at 0.
+    table = str.maketrans({str(a): "".join(map(str, images[a])) for a in (0, 1)})
+    word = "0"
+    while len(word) < n:
+        word = word.translate(table)
+    return word[:n]
+
+
+FIXED_POINT_WORDS = st.one_of(
+    st.tuples(
+        st.just("morphic"),
+        st.tuples(
+            st.lists(st.integers(0, 1), min_size=1, max_size=3).map(
+                lambda tail: (0, *tail)
+            ),
+            st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+        ),
+    ),
+    st.tuples(
+        st.just("sturmian"),
+        st.lists(st.integers(1, 60), min_size=1, max_size=4).map(tuple),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    word=FIXED_POINT_WORDS,
+    lengths=st.lists(st.integers(0, 5000), min_size=1, max_size=8),
+)
+@example(word=("morphic", ((0, 1), (1, 0))), lengths=[5000, 3, 1025])
+@example(word=("morphic", ((0, 0, 1, 0), (1,))), lengths=[1, 4000, 2])  # Chacon
+@example(word=("morphic", ((0, 1), (1,))), lengths=[5000])  # 0 1^k grows by one
+@example(word=("sturmian", (60, 1)), lengths=[3782, 61, 3843, 5000])
+def test_fixed_point_prefixes_in_any_request_order(word, lengths):
+    # One block recursion serves morphic and Sturmian words alike; every
+    # prefix, in any order of requests, is the plain iteration's.
+    kind, data = word
+    if kind == "morphic":
+        source, text = MorphicSource({0: data[0], 1: data[1]}), _iterate(data, 5000)
+    else:
+        source, text = sturmian_characteristic(data), naive_sturmian(data, 5000)
+    for n in lengths:
+        assert source.prefix_str(n) == text[:n]
 
 
 def test_letters_are_read_only_int8(tm):
