@@ -32,7 +32,10 @@ doubled window, and drives both paths: ``delta_left``/``delta_right``/
 ``_BulkWindows.direct`` is the one routine that ranks doubled windows
 directly, by the doubled twin's names at the depth ``_bulk_windows`` proves,
 for the formula check, ``verify_image_formulas`` and the surjectivity side
-of ``audit_map`` on the trimmed maps.
+of ``audit_map`` on the trimmed maps.  The source owns one slot for the last
+transfer window, ``WordSource._last_transfer``: ``delta`` and
+``_bulk_windows`` store their last result there, so the trimmed maps of one
+window, and every map audited over one scan, reuse the untrimmed build.
 """
 
 from __future__ import annotations
@@ -260,7 +263,12 @@ def delta(
 
     The result's ``image`` equals the doubled word's pattern at
     ``[2a, 2a+2n)`` but is computed without ever ranking doubled shifts.
+    The source keeps the last result, so the trimmed maps at the same
+    window reuse it.
     """
+    key = ("delta", a, n, max_horizon)
+    if source._last_transfer[0] == key:
+        return source._last_transfer[1]
     profile = class_profile(source, a, n)
     base = subpermutation(source, a, n + profile.k, max_horizon)
     core = restrict_rows(np.array([base]), 0, profile.k)
@@ -272,7 +280,7 @@ def delta(
             f"doubling image of window [{a}, {a + n}) is not a permutation; "
             "this is a bug"
         )
-    return DeltaResult(
+    result = DeltaResult(
         start=a,
         half_length=n,
         base=base,
@@ -280,6 +288,8 @@ def delta(
         profile=profile,
         image=image,
     )
+    source._last_transfer = (key, result)
+    return result
 
 
 def delta_left(
@@ -412,7 +422,13 @@ def _bulk_windows(
     ``w[a, a+n+max(H(n)+1, k))``, a prefix of the row's factor, fix the
     doubled window's pattern, and that of every trimmed window inside it,
     and ``direct`` orders the doubled shifts at that depth.
+
+    The source keeps the last scan, its arrays read-only, so every map
+    audited at the same ``(n, scan_window)`` reuses it.
     """
+    key = ("bulk", n, scan_window, max_horizon)
+    if source._last_transfer[0] == key:
+        return source._last_transfer[1]
     if n < 1:
         raise DomainError("half-length must be at least 1")
     if scan_window < 1:
@@ -444,6 +460,10 @@ def _bulk_windows(
             "doubling image formula disagrees with directly ranked doubled "
             "windows; this is a bug"
         )
+    for array in (starts, weights, base_patterns, core_patterns, classes, images):
+        array.setflags(write=False)
+    bulk.class_complete.setflags(write=False)
+    source._last_transfer = (key, bulk)
     return bulk
 
 

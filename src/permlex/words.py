@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,11 +60,15 @@ class WordSource:
         # the 2**j-letter factors at the shifts [0, size), level j an int32
         # array, by which the bulk paths group starts and order the shifts
         # of each window.  The doubled twin points back, but weakly, so a
-        # dropped source is freed without the cycle collector.
+        # dropped source is freed without the cycle collector.  The last
+        # transfer window is the (key, result) that doubling.delta, key
+        # ("delta", a, n, max_horizon), or doubling._bulk_windows, key
+        # ("bulk", n, scan_window, max_horizon), last built without raising.
         self._agreement = (0, np.zeros(1, dtype=np.int64))  # ranking.separation_depth
         self._names = (0, [])  # ranking._name_levels: (size, levels)
         self._doubled_twin = None      # doubling._doubled_view
         self._run_scan = _RunScan()    # words.run_bounds
+        self._last_transfer = (None, None)  # doubling.delta, doubling._bulk_windows
 
     # -- subclass interface -------------------------------------------------
 
@@ -118,9 +123,11 @@ class _FixedPointSource(WordSource):
 
     With steps s_1, s_2, ... repeating the cycle, level k holds the images
     A_k(a) = s_1(...s_k(a)) of both letters, and A_{k+1}(a) is the blocks
-    A_k(b) over the letters b of s_{k+1}(a).  Each step maps the seed to a
-    word that begins with it, so a request that the first blocks of
-    A_{k+1}(seed) cover is served from them without building level k+1.
+    A_k(b) over the letters b of s_{k+1}(a).  A step gives each image as its
+    runs (b, count), so 0^d 1 is d blocks A_k(0) and one A_k(1).  Each step
+    maps the seed to a word that begins with it, so a request that the first
+    blocks of A_{k+1}(seed) cover is served from them without building level
+    k+1.
     """
 
     def __init__(self, steps: Sequence[tuple], seed: int, hard_limit: int):
@@ -131,14 +138,25 @@ class _FixedPointSource(WordSource):
     def _generate(self, n: int) -> np.ndarray:
         while True:
             images, step = self._images, self._steps[self._level % len(self._steps)]
-            blocks = [images[b] for b in step[self.seed]]
-            ends = np.cumsum([block.size for block in blocks])
-            if ends[-1] >= n:
-                return np.concatenate(blocks[: np.searchsorted(ends, n) + 1])
+            runs, covered = step[self.seed], 0
+            for r, (b, count) in enumerate(runs):
+                if covered + count * images[b].size >= n:
+                    copies = -(-(n - covered) // images[b].size)
+                    return np.concatenate(_blocks(images, [*runs[:r], (b, copies)]))
+                covered += count * images[b].size
             self._images = tuple(
-                np.concatenate([images[b] for b in step[a]]) for a in (0, 1)
+                np.concatenate(_blocks(images, step[a])) for a in (0, 1)
             )
             self._level += 1
+
+
+def _blocks(images: tuple, runs: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """``count`` copies of ``images[b]`` for each run ``(b, count)``.  One
+    copy is the block itself (``np.tile`` would copy it before the caller's
+    concatenation copies it again)."""
+    return [
+        images[b] if count == 1 else np.tile(images[b], count) for b, count in runs
+    ]
 
 
 class MorphicSource(_FixedPointSource):
@@ -161,7 +179,8 @@ class MorphicSource(_FixedPointSource):
             raise DomainError("seed letter must be 0 or 1")
         if images[seed][0] != seed or len(images[seed]) < 2:
             raise DomainError("morphism is not prolongable at the seed letter")
-        super().__init__([(images[0], images[1])], seed, hard_limit)
+        runs = [tuple((b, len(list(g))) for b, g in groupby(images[a])) for a in (0, 1)]
+        super().__init__([runs], seed, hard_limit)
         self.rules = images
 
     def is_thue_morse(self) -> bool:
@@ -192,7 +211,8 @@ class SturmianSource(_FixedPointSource):
             raise InvalidDirective(
                 f"directive entries must be integers >= 1, got {entries!r}"
             )
-        super().__init__([((0,) * d + (1,), (0,)) for d in entries], 0, hard_limit)
+        steps = [(((0, d), (1, 1)), ((0, 1),)) for d in entries]
+        super().__init__(steps, 0, hard_limit)
         self.directive = entries
 
     def spec_string(self) -> str:

@@ -239,7 +239,9 @@ def test_audit_image_size_matches_parity_enumeration(tm, dtm, map_name, n):
 
 
 @pytest.mark.parametrize("map_name", list(MAPS))
-def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
+def test_audit_ranks_each_doubled_window_once(monkeypatch, map_name):
+    # A fresh source: a shared one may already keep this scan's windows.
+    tm = thue_morse_source()
     lengths, rows = [], []
     sort = doubling.window_patterns
 
@@ -265,6 +267,13 @@ def test_audit_ranks_each_doubled_window_once(tm, monkeypatch, map_name):
     factors = len({text[a : a + span] for a in range(DEFAULT_SCAN_WINDOW)})
     assert rows == [factors] * len(lengths)
     assert factors < DEFAULT_SCAN_WINDOW // 10
+    # Another map at the same (n, scan) reuses the source's last scan and
+    # sorts only its own trimmed windows.
+    other = "delta-m" if map_name != "delta-m" else "delta-l"
+    lead, trail = MAPS[other]
+    del lengths[:]
+    audit_map(tm, other, 9)
+    assert lengths == [18 - lead - trail]
 
 
 def _longest_run(w: str, letter: str) -> int:
@@ -477,3 +486,91 @@ def test_dropped_source_is_freed_without_the_cycle_collector(build):
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+# -- the source's last transfer window ---------------------------------------------
+
+_TRANSFER_FUNCTIONS = {
+    f.__name__: f
+    for f in (
+        delta, delta_left, delta_right, delta_middle, audit_map, verify_image_formulas
+    )
+}
+
+# Few windows and scans, so consecutive calls often share one; half-length 2
+# meets too few run classes and raises ClassMissing, and delta-m has an empty
+# image at n = 1.
+_SCANS = st.sampled_from([16, 32])
+_TRANSFER_CALLS = st.one_of(
+    st.tuples(
+        st.sampled_from(["delta", "delta_left", "delta_right", "delta_middle"]),
+        st.sampled_from([0, 5, 17]),
+        st.sampled_from([2, 5, 9]),
+    ),
+    st.tuples(
+        st.just("audit_map"),
+        st.sampled_from(list(MAPS)),
+        st.sampled_from([1, 4]),
+        _SCANS,
+    ),
+    st.tuples(st.just("verify_image_formulas"), st.sampled_from([1, 4]), _SCANS),
+)
+
+
+def _transfer_call(source, call):
+    name, *args = call
+    try:
+        return _TRANSFER_FUNCTIONS[name](source, *args)
+    except (ClassMissing, DomainError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from(["thue-morse", "fibonacci", "sturmian:2"]),
+    calls=st.lists(_TRANSFER_CALLS, min_size=1, max_size=12),
+)
+@example(
+    spec="thue-morse",
+    calls=[
+        ("delta", 5, 9),
+        ("delta_left", 5, 2),
+        ("delta_middle", 5, 9),
+        ("audit_map", "delta", 4, 32),
+        ("audit_map", "delta-m", 4, 32),
+        ("verify_image_formulas", 4, 16),
+        ("audit_map", "delta-m", 1, 16),
+        ("delta_right", 5, 9),
+    ],
+)
+def test_kept_transfer_window_answers_as_a_fresh_source(spec, calls):
+    shared = parse_word_spec(spec)
+    for call in calls:
+        assert _transfer_call(shared, call) == _transfer_call(
+            parse_word_spec(spec), call
+        ), call
+
+
+def test_trimmed_maps_reuse_the_untrimmed_window(monkeypatch):
+    tm = thue_morse_source()
+    ranked = []
+    rank = doubling.subpermutation
+
+    def counting(source, a, n, max_horizon):
+        ranked.append((a, n))
+        return rank(source, a, n, max_horizon)
+
+    monkeypatch.setattr(doubling, "subpermutation", counting)
+    image = delta(tm, 3, 9).image
+    trimmed = [f(tm, 3, 9) for f in (delta_left, delta_right, delta_middle)]
+    assert ranked == [(3, 11)]
+    assert trimmed == [
+        perms._restrict(image, *MAPS[m]) for m in ("delta-l", "delta-r", "delta-m")
+    ]
+
+
+def test_kept_bulk_scan_is_read_only(tm):
+    bulk = doubling._bulk_windows(tm, 5, 64)
+    assert doubling._bulk_windows(tm, 5, 64) is bulk
+    with pytest.raises(ValueError):
+        bulk.images[0, 0] = 0
