@@ -2,7 +2,8 @@
 
 The window ``[a, a+n)`` of a word gets the pattern whose i-th entry is the
 1-based rank of the shift starting at ``a+i`` among the window's shifts under
-lexicographic order.  Patterns are plain tuples of ints.
+lexicographic order.  One pattern is a tuple of ints; the bulk paths hold
+many as the rows of an unsigned array (``PermSet.rows``).
 
 Two routines of one ranking engine compute patterns.  ``subpermutation``
 ranks the shifts of one window by prefix doubling (``ranking.shift_ranks``),
@@ -23,6 +24,7 @@ the bulk paths give the same pattern or raise the same error class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,7 +179,9 @@ def restrict_rows(rows: np.ndarray, lead: int, trail: int) -> np.ndarray:
     ``1..n-lead-trail``, keeping its relative order."""
     width = rows.shape[1]
     kept = rows[:, lead : width - trail]
-    below = np.zeros(kept.shape, dtype=np.int64)
+    # Each kept entry exceeds every dropped entry it counts, so the
+    # difference stays at least 1 in any dtype, unsigned ones included.
+    below = np.zeros(kept.shape, dtype=rows.dtype)
     for j in (*range(lead), *range(width - trail, width)):
         below += kept > rows[:, j : j + 1]
     return kept - below
@@ -218,9 +222,14 @@ def left_restrict_k(p: Perm, k: int) -> Perm:
 # -- enumeration -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermSet:
     """All window patterns of one length found in a scan.
+
+    ``rows`` holds the distinct patterns, one per row of a read-only
+    ``(count, n)`` array of the narrowest unsigned dtype that holds n, in no
+    particular order.  ``members`` (a frozenset of tuples) and
+    ``sorted_members`` are built from it on first use.
 
     ``saturated`` records whether doubling the scan once more found nothing
     new on a word that does not end; when False the member set is only a
@@ -229,13 +238,20 @@ class PermSet:
 
     source_spec: str
     n: int
-    members: frozenset[Perm]
+    rows: np.ndarray
     scan_window: int
     saturated: bool
 
+    def __post_init__(self):
+        self.rows.setflags(write=False)
+
     @property
     def count(self) -> int:
-        return len(self.members)
+        return self.rows.shape[0]
+
+    @cached_property
+    def members(self) -> frozenset[Perm]:
+        return frozenset(map(tuple, self.rows.tolist()))
 
     def sorted_members(self) -> list[Perm]:
         return sorted(self.members)
@@ -286,10 +302,6 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.unique(_row_keys(rows), return_index=True)[1]]
 
 
-def _unique_patterns(rows: np.ndarray) -> frozenset[Perm]:
-    return frozenset(map(tuple, _distinct_rows(rows).tolist()))
-
-
 def _enumerate(
     source: WordSource,
     n: int,
@@ -318,14 +330,11 @@ def _enumerate(
             # Windows past the scan, up to a finite word's end, may still
             # show a new pattern; a source cut by its hard limit goes on.
             ends = isinstance(_out_of_letters(source, spec), PrefixTooShort)
-            # Drop the full rows before the tuples are built.
-            rows = rows[first]
-            members = frozenset(map(tuple, rows.tolist()))
-            return PermSet(spec, n, members, 2 * window, saturated=not ends)
+            return PermSet(spec, n, rows[first], 2 * window, saturated=not ends)
         window *= 2
     # No saturation asked for, or the doubled scan ran out of letters.
     rows = _pattern_rows(source, n, window, parity, max_horizon)[2]
-    return PermSet(spec, n, _unique_patterns(rows), window, saturated=False)
+    return PermSet(spec, n, _distinct_rows(rows), window, saturated=False)
 
 
 def perm_set(

@@ -38,6 +38,9 @@ from .words import WordSource
 #: path: up to the larger of 4 times this and 16 times the reach.
 DEFAULT_MAX_HORIZON = 4096
 
+#: The most cells (rows times window length) ``window_patterns`` sorts at once.
+_BLOCK_CELLS = 1 << 16
+
 
 def _agreement_limit(reach: int, max_horizon: int) -> int:
     """The most letters two shifts below ``reach`` may agree on; a path
@@ -244,7 +247,8 @@ def window_patterns(
     source: WordSource, starts: np.ndarray, n: int, depth: int
 ) -> np.ndarray:
     """Rank patterns (rows of values 1..n) of the length-``n`` windows of
-    ``source`` at ``starts``.
+    ``source`` at ``starts``, as a ``(len(starts), n)`` array of the
+    narrowest unsigned dtype that holds n (uint8 up to n = 255).
 
     ``depth`` bounds how far two shifts of one window agree, as
     ``separation_depth`` measures it, so their names at level j =
@@ -256,6 +260,13 @@ def window_patterns(
     factor first, so the windows whose names reach past the last letter are
     ranked again with the end sorted last, as ``shift_ranks`` does, and must
     keep their order.
+
+    Each row is two in-place sorts of packed keys, ``value << shift |
+    column`` with n <= 2**shift: sorting the names' keys puts each shift's
+    column in the low bits in name order, and sorting those columns' keys
+    puts each column's place in that order in the low bits.  Keys are int32
+    unless the table's names need int64, and starts are taken in blocks of
+    at most ``_BLOCK_CELLS`` cells, so no temporary spans every row.
     """
     starts = np.asarray(starts, dtype=np.int64)
     reach, end = int(starts.max(initial=0)) + n, source.max_available()
@@ -266,30 +277,48 @@ def window_patterns(
             "runs past the last letter",
         )
     j = int(depth).bit_length()
-    _, levels = _name_levels(source, reach - 1 + (1 << j), j)
-    windows = np.lib.stride_tricks.sliding_window_view(levels[j], n)[starts]
-    ordered = np.sort(windows, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise HorizonExhausted(
-            f"two shifts of a length-{n} window of {source.spec_string()} "
-            f"agree on {1 << j} letters, past the depth {depth}"
-        )
-    order = np.argsort(windows, axis=1)
+    size, levels = _name_levels(source, reach - 1 + (1 << j), j)
+    windows = np.lib.stride_tricks.sliding_window_view(levels[j], n)
+    shift = max(n - 1, 0).bit_length()
+    low = (1 << shift) - 1
+    key_type = np.int32 if size << shift <= np.iinfo(np.int32).max else np.int64
+    column = np.arange(n, dtype=key_type)
+    patterns = np.empty((starts.size, n), dtype=np.min_scalar_type(n))
     late = np.flatnonzero(starts + (n - 1 + (1 << j)) > end)
+    late_order = np.empty((late.size, n), dtype=key_type)
+    step = max(_BLOCK_CELLS // max(n, 1), 1)
+    for lo in range(0, starts.size, step):
+        key = windows[starts[lo : lo + step]].astype(key_type, copy=False)
+        key <<= shift
+        key |= column
+        key.sort(axis=1)
+        # Sorted keys with equal names differ in their column bits alone.
+        if ((key[:, 1:] ^ key[:, :-1]) <= low).any():
+            raise HorizonExhausted(
+                f"two shifts of a length-{n} window of {source.spec_string()} "
+                f"agree on {1 << j} letters, past the depth {depth}"
+            )
+        key &= low
+        # The column of each rank: the order the late check compares.
+        a, b = np.searchsorted(late, [lo, lo + step])
+        late_order[a:b] = key[late[a:b] - lo]
+        key <<= shift
+        key |= column
+        key.sort(axis=1)
+        key &= low
+        key += 1
+        patterns[lo : lo + step] = key
     if late.size:
         # The shifts from the first late start on, ranked over 2**j letters
         # with the letters past the end sorted last.
-        lo = int(starts[late].min())
-        rank = source.letters(end)[lo:].astype(np.int64)
+        first = int(starts[late].min())
+        rank = source.letters(end)[first:].astype(np.int64)
         for i in range(j):
             rank = _merge(rank, 1 << i, rank.size)
-        last = np.lib.stride_tricks.sliding_window_view(rank, n)[starts[late] - lo]
-        if not np.array_equal(order[late], np.argsort(last, axis=1)):
+        last = np.lib.stride_tricks.sliding_window_view(rank, n)[starts[late] - first]
+        if not np.array_equal(late_order, np.argsort(last, axis=1)):
             raise _out_of_letters(
                 source, f"two shifts of a length-{n} window of "
                 f"{source.spec_string()} agree until the last letter"
             )
-    patterns = np.empty(order.shape, dtype=np.int64)
-    rows = np.arange(order.shape[0])[:, None]
-    patterns[rows, order] = np.arange(1, n + 1)[None, :]
     return patterns

@@ -238,6 +238,29 @@ def test_audit_image_size_matches_parity_enumeration(tm, dtm, map_name, n):
     assert rep.image_size == perm_set_parity(dtm, 2 * n - lead - trail, parity).count
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_transfer_reads_narrow_rows_as_wide_ones(monkeypatch, n):
+    # The transfer path (restrict_rows, _images, _collision and the audit's
+    # _groups and _row_keys keys) gives on the narrow unsigned rows exactly
+    # what it gives on the same rows widened to int64: no unsigned
+    # subtraction wraps.  Thue-Morse collides at n = 8 and 16.
+    def run():
+        tm = thue_morse_source()
+        reports = [audit_map(tm, name, n, 512).to_dict() for name in MAPS]
+        return reports, verify_image_formulas(tm, n, 512), perm_set(tm, n).members
+
+    narrow = run()
+    assert all(report["collisions"] for report in narrow[0])
+    sort = doubling.window_patterns
+
+    def wide(*args):
+        return sort(*args).astype(np.int64)
+
+    monkeypatch.setattr(perms, "window_patterns", wide)
+    monkeypatch.setattr(doubling, "window_patterns", wide)
+    assert run() == narrow
+
+
 @pytest.mark.parametrize("map_name", list(MAPS))
 def test_audit_ranks_each_doubled_window_once(monkeypatch, map_name):
     # A fresh source: a shared one may already keep this scan's windows.

@@ -1,5 +1,6 @@
 """Type decompositions, complementary pairs, and same-form censuses."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -113,7 +114,7 @@ def test_census_requires_saturation():
     fake = PermSet(
         source_spec="thue-morse",
         n=9,
-        members=frozenset({(1, 2, 3, 4, 5, 6, 7, 8, 9)}),
+        rows=np.array([[1, 2, 3, 4, 5, 6, 7, 8, 9]], dtype=np.uint8),
         scan_window=64,
         saturated=False,
     )

@@ -1,5 +1,6 @@
 """Window patterns, restrictions, and pattern-set enumeration."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -41,6 +42,7 @@ from permlex import (
 from permlex import perms as perms_module
 from permlex import ranking
 from permlex.doubling import MAPS
+from permlex.formulas import doubled_tm_tau
 from permlex.perms import DEFAULT_SCAN_WINDOW, restrict_rows
 from permlex.ranking import separation_depth
 
@@ -362,8 +364,11 @@ def test_restrictions_match_naive(ps, k):
             for _ in range(trail):
                 q = naive_left(q)
             naive.append(q)
-        got = restrict_rows(np.array(rows), lead, trail)
-        assert list(map(tuple, got.tolist())) == naive
+        # Narrow unsigned rows keep their dtype and never wrap.
+        for dtype in (np.uint8, np.uint16, np.int64):
+            got = restrict_rows(np.array(rows, dtype=dtype), lead, trail)
+            assert got.dtype == dtype
+            assert list(map(tuple, got.tolist())) == naive
 
 
 @given(perms)
@@ -418,6 +423,31 @@ def test_perm_set_members_match_naive(tm):
     assert ps.saturated
     text = naive_thue_morse(4 * ps.scan_window)
     assert ps.members == naive_perm_set(text, 4, ps.scan_window)
+    assert ps.sorted_members() == sorted(ps.members)
+    assert ps.rows.shape == (ps.count, 4) and ps.rows.dtype == np.uint8
+    assert not ps.rows.flags.writeable
+
+
+def test_perm_set_memory_grows_with_distinct_factors():
+    # One saturated enumeration on a warmed source holds a few bytes per
+    # cell of the F windows of length m it sorts, F the distinct factors of
+    # its scan: uint16 rows sorted in blocks and deduplicated as rows, with
+    # no tuple of Python ints per pattern until ``members`` is read.
+    m, source = 256, double(thue_morse_source())
+    perm_set(source, m)  # grows the name and agreement tables
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        ps = perm_set(source, m)
+        assert ps.count == doubled_tm_tau(m) and ps.saturated
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    reps = perms_module._pattern_rows(
+        source, m, ps.scan_window, None, ranking.DEFAULT_MAX_HORIZON
+    )[0]
+    assert peak < 12 * reps.size * m
+    assert "members" not in ps.__dict__
 
 
 def test_perm_set_single_letter(tm):

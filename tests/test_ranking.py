@@ -7,19 +7,25 @@ from hypothesis import strategies as st
 
 from permlex import (
     HorizonExhausted,
+    LimitExceeded,
     MorphicSource,
+    PermlexError,
     PrefixTooShort,
+    double,
     explicit_source,
     fibonacci_source,
     perm_set,
     shift_ranks,
     sturmian_characteristic,
     thue_morse_source,
+    verify_image_formulas,
     window_patterns,
 )
+from permlex import ranking
 from permlex.ranking import prefix_names, separation_depth
 
 from bruteforce import (
+    naive_double,
     naive_fibonacci,
     naive_sturmian,
     naive_subperm,
@@ -162,6 +168,96 @@ def test_window_patterns_refuse_a_depth_too_small(n):
     # that begin with the same letter, so names one letter long tie.
     with pytest.raises(HorizonExhausted):
         window_patterns(thue_morse_source(), np.arange(0, 40, 3), n, 0)
+
+
+def _outcome(call):
+    # A call's rows, or the class of the error it raises.
+    try:
+        return call()
+    except PermlexError as exc:
+        return type(exc)
+
+
+#: (build, starts, n, depth): windows whose rows come out whole, windows that
+#: tie at too small a depth, and a window the end decides followed by one
+#: that ties, where the tie's error wins.
+_BLOCK_CASES = [
+    (thue_morse_source, np.arange(0, 250, 7), 9, 3),
+    (thue_morse_source, np.arange(0, 250, 7), 9, 2),
+    (lambda: double(thue_morse_source()), np.arange(300), 40, 31),
+    (lambda: explicit_source(naive_thue_morse(16)), np.array([12, 4, 0]), 4, 1),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_BLOCK_CASES)))
+@pytest.mark.parametrize("cells", [1, 10, 100])
+def test_window_patterns_in_blocks_equal_one_block(monkeypatch, case, cells):
+    # Rows, or the error class, do not depend on how starts are split into
+    # blocks: a tie anywhere raises before an order the end decides.
+    build, starts, n, depth = _BLOCK_CASES[case]
+    whole = _outcome(lambda: window_patterns(build(), starts, n, depth))
+    monkeypatch.setattr(ranking, "_BLOCK_CELLS", cells)
+    split = _outcome(lambda: window_patterns(build(), starts, n, depth))
+    if isinstance(whole, type):
+        assert split is whole
+    else:
+        assert split.dtype == whole.dtype and np.array_equal(split, whole)
+
+
+def test_window_patterns_errors_in_a_later_block(monkeypatch):
+    # One start per block: the first blocks are sound, the last one is not.
+    monkeypatch.setattr(ranking, "_BLOCK_CELLS", 1)
+    tm = thue_morse_source()
+    assert window_patterns(tm, [0, 2, 4], 2, 0).tolist() == [[1, 2], [2, 1], [2, 1]]
+    with pytest.raises(HorizonExhausted):
+        window_patterns(tm, [0, 2, 4, 1], 2, 0)  # w[1:3] = "11"
+    # The last window's shifts at 60 and 63 agree until the word ends.
+    prefix = naive_thue_morse(64)
+    for source, error in [
+        (explicit_source(prefix), PrefixTooShort),
+        (thue_morse_source(hard_limit=64), LimitExceeded),
+    ]:
+        assert window_patterns(source, [0, 8, 16], 4, 3).shape == (3, 4)
+        with pytest.raises(error):
+            window_patterns(source, [0, 8, 16, 60], 4, 3)
+
+
+def test_window_patterns_of_length_zero(tm):
+    # The middle restriction of a doubled window at half-length 1 is empty.
+    rows = window_patterns(tm, np.arange(5), 0, 0)
+    assert rows.shape == (5, 0)
+    assert verify_image_formulas(tm, 1, 16).ok
+
+
+def test_window_patterns_with_int64_keys():
+    # Names near 2**31 >> shift: packed into int32 they would wrap past
+    # 2**31 and sort first, so the kernel packs them into int64.  The table
+    # is the source's own, each level moved up by the same offset, which
+    # keeps every order.
+    n, source, starts = 9, thue_morse_source(), np.arange(0, 400, 3)
+    depth = separation_depth(source, n, 400 + n)
+    j, shift = depth.bit_length(), (n - 1).bit_length()
+    want = window_patterns(source, starts, n, depth)
+    size, levels = source._names
+    top = np.iinfo(np.int32).max >> shift
+    offset = top - int(levels[j].max()) // 2
+    source._names = (top + size, [level + np.int32(offset) for level in levels])
+    names = np.lib.stride_tricks.sliding_window_view(source._names[1][j], n)[starts]
+    assert names.min() <= top < names.max()
+    reference = np.argsort(np.argsort(names, axis=1), axis=1) + 1
+    got = window_patterns(source, starts, n, depth)
+    assert np.array_equal(got, reference) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)])
+def test_window_patterns_rows_are_narrow(n, dtype):
+    source = double(thue_morse_source())
+    starts = np.array([0, 1, 37, 500])
+    rows = window_patterns(source, starts, n, separation_depth(source, n, 501 + n))
+    assert rows.dtype == dtype
+    text = naive_double(naive_thue_morse(4000))
+    for row, a in zip(rows.tolist(), starts.tolist()):
+        assert tuple(row) == naive_subperm(text, a, n)
 
 
 def test_sturmian_60_1_counts_from_letters():
