@@ -40,6 +40,7 @@ from .ranking import (
     DEFAULT_MAX_HORIZON,
     _agreement_limit,
     _out_of_letters,
+    _sort_with_index,
     prefix_names,
     separation_depth,
     shift_ranks,
@@ -279,10 +280,18 @@ def _pattern_rows(
     depth = separation_depth(source, n, scan + n - 1, max_horizon)
     span = n + depth
     cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))
-    # np.unique gives each key's first index; sorted, they are the first starts.
-    _, first, counts = np.unique(
-        prefix_names(source, starts[:cut], span), return_index=True, return_counts=True
+    # One packed sort groups the keys, each group's indices ascending, so
+    # the index where the sorted key changes is the group's first start.
+    # ``prefix_names`` keys are below the square of the name table's size.
+    value, index = _sort_with_index(
+        prefix_names(source, starts[:cut], span), source._names[0] ** 2
     )
+    change = np.empty(value.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(value[1:], value[:-1], out=change[1:])
+    bounds = np.flatnonzero(change)
+    first = index[bounds]
+    counts = np.diff(bounds, append=value.size)
     order = np.argsort(first)
     reps = np.concatenate([starts[first[order]], starts[cut:]])
     weights = np.concatenate([counts[order], np.ones(starts.size - cut, np.int64)])

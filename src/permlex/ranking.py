@@ -2,11 +2,16 @@
 
 ``shift_ranks`` orders the first P shifts of a letter buffer by prefix
 doubling: start from single-letter ranks and repeatedly merge each rank with
-the rank a few positions on (one sort of one integer key per doubling, the
-last round shortened), so that ranks compare exactly ``horizon`` letters.  It
-returns ``None`` only when two shifts agree on all ``horizon`` letters.  The
-end of the buffer is the end of the word: two shifts that agree until it
-raise ``PrefixTooShort``, since no further letter can order them.
+the rank a few positions on (the last round shortened), so that ranks
+compare exactly ``horizon`` letters.  It returns ``None`` only when two
+shifts agree on all ``horizon`` letters.  The end of the buffer is the end
+of the word: two shifts that agree until it raise ``PrefixTooShort``, since
+no further letter can order them.
+
+A merge packs each pair of ranks into one integer key, and each key's
+position into the key's low bits, and sorts the packed keys once in place
+(``_sort_with_index``).  The same sort groups a scan's starts by their
+factors in ``perms._pattern_rows``.
 
 ``separation_depth`` reads how far shifts less than n apart agree over a
 scan's shifts from letters alone, out of ``WordSource._agreement``.
@@ -116,14 +121,39 @@ def _merge(rank: np.ndarray, step: int, end: int) -> np.ndarray:
     # The one prefix-doubling step: the dense rank of the pair (rank[x],
     # rank[x + step]), with ``end`` (-1 or the buffer's size) standing for
     # the ranks past the buffer.  Ranks are below ``total``, so the pair
-    # packs into one int64 key below (total + 2)**2 and np.unique's inverse
-    # ranks it.  ``rank`` is widened first: the name table's int32 levels,
-    # times a scalar, stay int32 under numpy 1.x and would wrap.
+    # packs into one int64 key below (total + 2)**2, built in place; a
+    # position's dense rank counts the changes of the sorted key before it.
+    # The product is taken in int64: the name table's int32 levels, times a
+    # scalar, stay int32 under numpy 1.x and would wrap.
     total = rank.size
-    shifted = np.full(total, end, dtype=np.int64)
-    shifted[: max(total - step, 0)] = rank[step:]
-    key = rank.astype(np.int64, copy=False) * (total + 2) + shifted + 1
-    return np.unique(key, return_inverse=True)[1]
+    key = np.full(total, end + 1, dtype=np.int64)
+    head = key[: max(total - step, 0)]
+    head[:] = rank[step:]
+    head += 1
+    key += np.multiply(rank, total + 2, dtype=np.int64)
+    value, index = _sort_with_index(key, (total + 2) ** 2)
+    dense = np.empty(total, dtype=np.int64)
+    dense[index[:1]] = 0
+    dense[index[1:]] = np.cumsum(value[1:] != value[:-1])
+    return dense
+
+
+def _sort_with_index(key: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    # The nonnegative int64 keys, all below ``top``, sorted, and the index
+    # of each, ascending among equal keys: one in-place sort of ``key <<
+    # bits | index``, which overwrites ``key``.  Keys too wide to leave
+    # ``bits`` free below bit 63 (a name table of more than 2**21
+    # positions) take a stable argsort instead.
+    bits = max(key.size - 1, 0).bit_length()
+    if (top - 1).bit_length() + bits > 63:
+        index = np.argsort(key, kind="stable")
+        return key[index], index
+    key <<= bits
+    key |= np.arange(key.size)
+    key.sort()
+    index = key & ((1 << bits) - 1)
+    key >>= bits
+    return key, index
 
 
 def prefix_names(
@@ -139,7 +169,9 @@ def prefix_names(
     source owns.  A finite word's factors stop at its end, and one cut short
     sorts before every longer factor it begins, as the end sentinel -1 does
     in ``shift_ranks``.  The caller keeps every factor within
-    ``source.max_available()``, as ``perms._pattern_rows`` does.
+    ``source.max_available()``, as ``perms._pattern_rows`` does.  Keys are
+    below ``size**2``, ``size = source._names[0]`` the size of the table
+    they were read from.
     """
     positions = np.asarray(positions, dtype=np.int64)
     j = length.bit_length() - 1

@@ -347,3 +347,68 @@ def test_prefix_names_of_a_long_word_with_many_factors():
     want = np.array([order[f] for f in factors])
     assert len(order) * positions > 2**31
     assert np.array_equal(np.unique(keys, return_inverse=True)[1].ravel(), want)
+
+
+def _unique_from_sort(keys, top):
+    # np.unique's return_index, return_inverse and return_counts, read from
+    # ``_sort_with_index`` as ``_merge`` and ``perms._pattern_rows`` read it.
+    value, index = ranking._sort_with_index(keys.copy(), top)
+    change = np.ones(value.size, dtype=bool)
+    change[1:] = value[1:] != value[:-1]
+    bounds = np.flatnonzero(change)
+    inverse = np.empty(value.size, dtype=np.int64)
+    inverse[index] = np.cumsum(change) - 1
+    return value[bounds], index[bounds], inverse, np.diff(bounds, append=value.size)
+
+
+def _assert_sort_with_index_matches_numpy(keys, top):
+    value, index = ranking._sort_with_index(keys.copy(), top)
+    assert np.array_equal(value, np.sort(keys))
+    assert np.array_equal(index, np.argsort(keys, kind="stable"))
+    want = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    for got, expected in zip(_unique_from_sort(keys, top), want):
+        assert np.array_equal(got, expected.ravel())
+
+
+@pytest.mark.parametrize("size", [2, 3, 100, 8192, 9000])
+@pytest.mark.parametrize("top", [2, 50, 2**20, 2**40])
+def test_sort_with_index_matches_numpy_unique(size, top):
+    keys = np.random.default_rng(size * 31 + top.bit_length()).integers(0, top, size)
+    _assert_sort_with_index_matches_numpy(keys, top)
+
+
+@pytest.mark.parametrize(
+    "keys", [np.empty(0, np.int64), np.array([5]), np.array([0]), np.full(7, 3)]
+)
+def test_sort_with_index_of_edge_inputs(keys):
+    _assert_sort_with_index_matches_numpy(keys, 8)
+
+
+def test_sort_with_index_of_wide_keys():
+    # Keys near 2**62 leave no bits below bit 63 for the index, so the
+    # helper sorts them with a stable argsort; packed, they would overflow.
+    # The same small keys under a wide bound take that branch too.
+    rng = np.random.default_rng(3)
+    keys = (1 << 62) + rng.integers(0, 4, 9)
+    _assert_sort_with_index_matches_numpy(keys, (1 << 62) + 4)
+    small = rng.integers(0, 5, 40)
+    assert np.array_equal(
+        ranking._sort_with_index(small.copy(), 1 << 62)[1],
+        ranking._sort_with_index(small.copy(), 5)[1],
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize(
+    "size, step", [(0, 1), (1, 1), (89, 1), (89, 8), (300, 64), (7, 7), (7, 20)]
+)
+@pytest.mark.parametrize("end_at_size", [False, True])
+def test_merge_matches_a_numpy_unique_reference(dtype, size, step, end_at_size):
+    rng = np.random.default_rng(size + step)
+    rank = rng.integers(0, max(size // 3, 1), size).astype(dtype)
+    end = size if end_at_size else -1
+    shifted = np.full(size, end, dtype=np.int64)
+    shifted[: max(size - step, 0)] = rank[step:]
+    key = rank.astype(np.int64) * (size + 2) + shifted + 1
+    want = np.unique(key, return_inverse=True)[1].ravel()
+    assert np.array_equal(ranking._merge(rank, step, end), want)
