@@ -89,8 +89,9 @@ def compare_shifts(
     on more than ``ranking._agreement_limit`` letters, at the reach
     ``max(a, b) + 1``, and ``ranking._out_of_letters`` if the letters run
     out first.  The first 64 offsets are compared before any later one, and
-    the compared slice then doubles, so a near difference never grows the
-    prefix far.
+    the compared slice then doubles, so a near difference reads few letters.
+    The prefix grows only when they pass it, and then by the source's one
+    growth rule, which at least doubles it up to what the word can produce.
     """
     if a < 0 or b < 0:
         raise DomainError("shift positions must be nonnegative")

@@ -4,7 +4,10 @@ A :class:`WordSource` produces an unbounded 0/1 sequence one prefix at a time:
 morphic fixed points and characteristic Sturmian words, both fixed points of a
 cycle of morphisms that one block recursion generates, and the doubling and
 complementation operators over any inner source.  Prefixes are cached and only
-grow, never rewriting letters handed out, so positions identify shifts.
+grow, never rewriting letters handed out, so positions identify shifts.  A
+prefix grows to at least twice its cached length, up to what the source can
+produce, so deeper and deeper requests build letters in proportion to the
+deepest one, not to the number of requests.
 
 Letters are stored as int8 arrays (values 0 and 1); ``prefix_str`` renders the
 same data as a digit string for display and hashing.
@@ -48,7 +51,11 @@ class WordSource:
 
     Subclasses implement :meth:`_generate`, returning *at least* ``n`` letters
     as an int8 array.  The base class owns the cache and enforces the growth
-    invariant: a longer prefix always begins with every shorter one.
+    invariant: a longer prefix always begins with every shorter one.  A
+    request past the cached prefix asks for ``max(n, 2 * cached)`` letters,
+    capped at :meth:`max_available`, so the prefix is regenerated O(log n)
+    times on the way to ``n`` letters and is at most twice the longest
+    request (plus the source's own rounding up to whole blocks).
     """
 
     def __init__(self, hard_limit: int = DEFAULT_HARD_LIMIT):
@@ -95,7 +102,8 @@ class WordSource:
                 f"hard limit is {self.hard_limit}"
             )
         if n > self._prefix.size:
-            grown = np.ascontiguousarray(self._generate(n), dtype=np.int8)
+            target = max(n, min(2 * self._prefix.size, self.max_available()))
+            grown = np.ascontiguousarray(self._generate(target), dtype=np.int8)
             if grown.size < n:
                 raise PrefixTooShort(
                     f"{self.spec_string()} produced {grown.size} letters, needed {n}"

@@ -144,6 +144,83 @@ def test_prefix_request_validation(tm):
         small.letters(129)
 
 
+def _count_generates(monkeypatch, source) -> tuple[dict, dict]:
+    """Record the length each source in ``source``'s chain of wrappers asks
+    of its ``_generate``, and the letters it gets back, keyed by source."""
+    asked, built, chain = {}, {}, [source]
+    while hasattr(chain[-1], "inner"):
+        chain.append(chain[-1].inner)
+    for src in chain:
+        asked[src], built[src] = [], []
+
+        def counting(n, src=src, generate=src._generate):
+            out = generate(n)
+            asked[src].append(n)
+            built[src].append(out.size)
+            return out
+
+        monkeypatch.setattr(src, "_generate", counting)
+    return asked, built
+
+
+AMORTISED_WORDS = {
+    "thue-morse": naive_thue_morse,
+    "fibonacci": naive_fibonacci,
+    "sturmian:2": lambda n: naive_sturmian((2,), n),
+    "double(thue-morse)": lambda n: naive_double(naive_thue_morse(n))[:n],
+    "complement(double(fibonacci))": lambda n: naive_complement(
+        naive_double(naive_fibonacci(n))[:n]
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(AMORTISED_WORDS))
+def test_prefix_growth_is_amortised(spec, monkeypatch):
+    # About 2,000 requests, each 64 letters past the last: every regrowth at
+    # least doubles the cached prefix, so each source in the chain builds
+    # O(log(top / 64)) prefixes and O(top) letters in all, not one prefix
+    # per request, and every prefix is still the word's.
+    top = 1 << 17
+    word = np.frombuffer(AMORTISED_WORDS[spec](top).encode(), np.uint8) - ord("0")
+    source = parse_word_spec(spec)
+    asked, built = _count_generates(monkeypatch, source)
+    for n in range(64, top + 1, 64):
+        assert np.array_equal(source.letters(n), word[:n])
+        assert source._prefix.size <= source.max_available()
+    for src in asked:
+        assert 1 <= len(asked[src]) <= (top // 64).bit_length() + 1
+        assert sum(built[src]) <= 8 * top
+
+
+def test_prefix_growth_keeps_the_edges(monkeypatch):
+    # Growth never asks a source for more than it can produce, so a capped
+    # word serves every request up to its hard limit exactly as before.
+    fib = fibonacci_source(hard_limit=170)
+    twice = double(fib)
+    asked, _ = _count_generates(monkeypatch, twice)
+    assert twice.letters(0).size == 0 and fib.letters(0).size == 0
+    assert asked == {twice: [], fib: []}
+    text = naive_fibonacci(170)
+    for n in (10, 100, 150, 169, 170):
+        assert fib.prefix_str(n) == text[:n]
+        assert twice.prefix_str(n) == naive_double(text)[:n]
+        assert twice._prefix.size <= twice.max_available() == 170
+    assert all(n <= src.max_available() for src in asked for n in asked[src])
+    for src in (fib, twice):
+        with pytest.raises(LimitExceeded):
+            src.letters(171)
+    # A finite word past its end raises what it raised before.
+    word = explicit_source("0110")
+    assert word.prefix_str(3) == "011"
+    with pytest.raises(PrefixTooShort, match="^explicit word has 4 letters, needed 5$"):
+        word.letters(5)
+    doubled = double(explicit_source("0110"))
+    assert doubled.prefix_str(5) == "00111"
+    assert doubled.prefix_str(8) == "00111100"
+    with pytest.raises(PrefixTooShort, match="^explicit word has 4 letters, needed 5$"):
+        doubled.letters(9)
+
+
 # -- specific sources -----------------------------------------------------------
 
 
