@@ -36,12 +36,17 @@ of ``audit_map`` on the trimmed maps.  The source owns one slot for the last
 transfer window, ``WordSource._last_transfer``: ``delta`` and
 ``_bulk_windows`` store their last result there, so the trimmed maps of one
 window, and every map audited over one scan, reuse the untrimmed build.
+The audit checks that read only the untrimmed scan (the domain, the
+restrictions, type-1 pairs, class gaps) live on the kept scan as
+``_BulkWindows.audit``, made on its first audit; each map's audit adds only
+its trim, its collisions and its surjectivity.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -400,6 +405,71 @@ class _BulkWindows:
         length = 2 * self.n - lead - trail
         return window_patterns(self.doubled, starts, length, self.doubled_depth)
 
+    @cached_property
+    def audit(self) -> _ScanAudit:
+        """The checks of ``audit_map`` that read only this scan's untrimmed
+        rows, made once for every map audited over it."""
+        # First row, and so first start, of each distinct domain pattern.  The
+        # image must depend on the pattern alone; a trimmed image restricts
+        # the untrimmed one, so this covers every map.
+        reps = np.sort(np.unique(_row_keys(self.base_patterns), return_index=True)[1])
+        domain_images = np.hstack([self.base_patterns, self.images])
+        if len(_distinct_rows(domain_images)) != reps.size:
+            raise AssertionError(
+                "one domain pattern produced two different images; this is a bug"
+            )
+        reps.setflags(write=False)
+
+        # Structural checks on the distinct full doubling images.
+        full = _distinct_rows(self.images[reps])
+        left_faithful = len(_distinct_rows(restrict_rows(full, 0, 1))) == len(full)
+        right_faithful = len(_distinct_rows(restrict_rows(full, 1, 0))) == len(full)
+        no_type1 = not any(
+            complementary_pair(tuple(full[i].tolist()), tuple(full[j].tolist())) == 1
+            for group in _groups(full[:, :-1] > full[:, 1:])[1]
+            for i, j in combinations(group, 2)
+        )
+
+        # Same-core windows whose final positions sit in different classes: the
+        # classes must be adjacent and the last two image entries must differ.
+        # Rows are (core, class of the last position, last two image entries).
+        n = self.n
+        tails = np.hstack(
+            [self.core_patterns, self.classes[:, n - 1 :], self.images[:, 2 * n - 2 :]]
+        )
+        tails = _distinct_rows(tails[self.class_complete])
+        gap_checked = 0
+        gap_violations = 0
+        for group in _groups(tails[:, :n])[1]:
+            for (c1, x1, y1), (c2, x2, y2) in combinations(tails[group, n:].tolist(), 2):
+                if c1 != c2:
+                    gap_checked += 1
+                    gap_violations += abs(c1 - c2) != 1 or x1 == x2 or y1 == y2
+
+        return _ScanAudit(
+            reps=reps,
+            left_restriction_faithful=left_faithful,
+            right_restriction_faithful=right_faithful,
+            no_type1_image_pairs=no_type1,
+            gap_pairs_checked=gap_checked,
+            gap_violations=gap_violations,
+            class_complete_windows=int(self.weights[self.class_complete].sum()),
+        )
+
+
+@dataclass(frozen=True)
+class _ScanAudit:
+    """What ``audit_map`` reads of a scan whatever the map: the domain, and
+    the checks on the untrimmed images that its report carries."""
+
+    reps: np.ndarray            # first row of each distinct base pattern, ascending
+    left_restriction_faithful: bool
+    right_restriction_faithful: bool
+    no_type1_image_pairs: bool
+    gap_pairs_checked: int
+    gap_violations: int
+    class_complete_windows: int
+
 
 def _bulk_windows(
     source: WordSource,
@@ -424,7 +494,8 @@ def _bulk_windows(
     and ``direct`` orders the doubled shifts at that depth.
 
     The source keeps the last scan, its arrays read-only, so every map
-    audited at the same ``(n, scan_window)`` reuses it.
+    audited at the same ``(n, scan_window)`` reuses it and the audit checks
+    kept with it.
     """
     key = ("bulk", n, scan_window, max_horizon)
     if source._last_transfer[0] == key:
@@ -532,15 +603,22 @@ class CollisionRecord:
 class AuditReport:
     """Injectivity/surjectivity audit of one transfer map at one half-length.
 
-    The domain is the set of distinct ``(n+k)``-patterns seen in the scan;
-    the image side is compared against the doubled windows ranked directly
-    at the same starts, so both sides share one horizon.
-    The structural fields check, on the full doubling images, that the left
-    and right restrictions stay faithful, that no two images form a
-    complementary pair of type 1, and that same-core windows whose final
-    positions sit in different classes have adjacent classes and gapped
-    final image entries.  ``class_complete_windows`` counts scan windows
-    that meet every run class, one per start, not one per distinct factor.
+    The domain is the set of distinct ``(n+k)``-patterns seen in the scan.
+    Per map: ``image_length``, ``image_size``, ``collisions`` and
+    ``surjective``.  ``surjective`` cross-checks the formula images of the
+    domain against the doubled windows ranked directly at the same starts
+    (for ``delta``, the rows ``_bulk_windows`` already ranked), so both sides
+    share one horizon, and it can be False only if the two rankings
+    disagree.
+
+    Per scan, the same for every map audited over one ``(n, scan_window)``:
+    ``domain_size`` and the structural fields.  They check, on the full
+    doubling images, that the left and right restrictions stay faithful,
+    that no two images form a complementary pair of type 1, and that
+    same-core windows whose final positions sit in different classes have
+    adjacent classes and gapped final image entries.
+    ``class_complete_windows`` counts scan windows that meet every run class,
+    one per start, not one per distinct factor.
     """
 
     source_spec: str
@@ -587,13 +665,18 @@ def _collision(bulk: _BulkWindows, i: int, j: int) -> CollisionRecord:
     )
 
 
-def _groups(rows: np.ndarray) -> list[np.ndarray]:
-    """Ascending indices of the rows in each class of equal rows that has at
-    least two members."""
-    _, group_of, sizes = np.unique(
+def _groups(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted distinct keys of the rows, and the ascending indices of the
+    rows in each class of equal rows that has at least two members."""
+    keys, group_of, sizes = np.unique(
         _row_keys(rows), return_inverse=True, return_counts=True
     )
-    return [np.flatnonzero(group_of == g) for g in np.flatnonzero(sizes > 1)]
+    # A stable sort of the class numbers lays each class out in a run of
+    # ascending row indices, the runs in key order.
+    order = np.argsort(group_of, kind="stable")
+    ends = np.cumsum(sizes)
+    groups = [order[ends[g] - sizes[g] : ends[g]] for g in np.flatnonzero(sizes > 1)]
+    return keys, groups
 
 
 def audit_map(
@@ -603,81 +686,51 @@ def audit_map(
     scan_window: int = DEFAULT_SCAN_WINDOW,
     max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> AuditReport:
-    """Collision and surjectivity audit of one transfer map at half-length ``n``."""
+    """Collision and surjectivity audit of one transfer map at half-length ``n``.
+
+    The checks that read only the untrimmed scan are made on the scan's
+    first audit and kept with it (``_BulkWindows.audit``).
+    """
     if map_name not in MAPS:
         raise DomainError(f"unknown map {map_name!r}; expected one of {MAP_NAMES}")
     lead, trail = MAPS[map_name]
     if 2 * n - lead - trail < 1:
         raise DomainError(f"map {map_name} has an empty image at half-length n={n}")
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
-    image_rows = restrict_rows(bulk.images, lead, trail)
-    image_length = image_rows.shape[1]
-
-    # First row, and so first start, of each distinct domain pattern.  The
-    # image must depend on the pattern alone.
-    reps = np.sort(np.unique(_row_keys(bulk.base_patterns), return_index=True)[1])
-    if len(_distinct_rows(np.hstack([bulk.base_patterns, image_rows]))) != reps.size:
-        raise AssertionError(
-            "one domain pattern produced two different images; this is a bug"
-        )
-    images = image_rows[reps]
+    scan = bulk.audit
+    images = restrict_rows(bulk.images[scan.reps], lead, trail)
+    image_keys, groups = _groups(images)
     collisions = [
         _collision(bulk, i, j)
-        for group in _groups(images)
-        for i, j in combinations(reps[group].tolist(), 2)
+        for group in groups
+        for i, j in combinations(scan.reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
     # Untrimmed, the direct doubled windows are the rows _bulk_windows ranked
     # and asserted equal to the images; only a trimmed map ranks again.
-    direct = image_rows if (lead, trail) == (0, 0) else bulk.direct(lead, trail)
+    direct = bulk.images if (lead, trail) == (0, 0) else bulk.direct(lead, trail)
     # Rows of both are permutations of 1..image_length, so their keys share
     # one dtype and the sorted distinct keys are equal as bytes iff the sets are.
-    image_keys = np.unique(_row_keys(images))
     surjective = image_keys.tobytes() == np.unique(_row_keys(direct)).tobytes()
-
-    # Structural checks on the distinct full doubling images.
-    full = _distinct_rows(bulk.images[reps])
-    left_faithful = len(_distinct_rows(restrict_rows(full, 0, 1))) == len(full)
-    right_faithful = len(_distinct_rows(restrict_rows(full, 1, 0))) == len(full)
-    no_type1 = not any(
-        complementary_pair(tuple(full[i].tolist()), tuple(full[j].tolist())) == 1
-        for group in _groups(full[:, :-1] > full[:, 1:])
-        for i, j in combinations(group, 2)
-    )
-
-    # Same-core windows whose final positions sit in different classes: the
-    # classes must be adjacent and the last two image entries must differ.
-    # Rows are (core, class of the last position, last two image entries).
-    tails = np.hstack(
-        [bulk.core_patterns, bulk.classes[:, n - 1 :], bulk.images[:, 2 * n - 2 :]]
-    )
-    tails = _distinct_rows(tails[bulk.class_complete])
-    gap_checked = 0
-    gap_violations = 0
-    for group in _groups(tails[:, :n]):
-        for (c1, x1, y1), (c2, x2, y2) in combinations(tails[group, n:].tolist(), 2):
-            if c1 != c2:
-                gap_checked += 1
-                gap_violations += abs(c1 - c2) != 1 or x1 == x2 or y1 == y2
 
     return AuditReport(
         source_spec=source.spec_string(),
         map_name=map_name,
         half_length=n,
-        image_length=image_length,
+        image_length=images.shape[1],
         k0=bulk.bounds.k0,
         k1=bulk.bounds.k1,
         scan_window=scan_window,
-        domain_size=reps.size,
+        domain_size=scan.reps.size,
         image_size=image_keys.size,
         collisions=tuple(collisions),
         surjective=surjective,
-        left_restriction_faithful=left_faithful,
-        right_restriction_faithful=right_faithful,
-        no_type1_image_pairs=no_type1,
-        gap_pairs_checked=gap_checked,
-        gap_violations=gap_violations,
-        class_complete_windows=int(bulk.weights[bulk.class_complete].sum()),
+        left_restriction_faithful=scan.left_restriction_faithful,
+        right_restriction_faithful=scan.right_restriction_faithful,
+        no_type1_image_pairs=scan.no_type1_image_pairs,
+        gap_pairs_checked=scan.gap_pairs_checked,
+        gap_violations=scan.gap_violations,
+        class_complete_windows=scan.class_complete_windows,
     )
 
 

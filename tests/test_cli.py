@@ -1,6 +1,7 @@
 """The command-line interface, driven in-process through main()."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from bruteforce import naive_fibonacci, naive_thue_morse
 GOLDEN_IMAGE = "(5 8 14 13 12 10 3 6 11 9 1 2 4 7)"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "commands.json").read_text())
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
 
 
 def run(capsys, *argv):
@@ -257,3 +259,25 @@ def test_stdout_matches_golden(case, capsys):
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == (GOLDEN_DIR / case["stdout"]).read_text()
+
+
+def test_workflow_cli_steps_replay_the_goldens():
+    # The CI workflow compares CLI stdout with goldens byte for byte.  Each
+    # golden it names must exist and be one this suite replays, recorded from
+    # the argv of the permlex.cli line that wrote the compared file.
+    recorded = {case["stdout"]: case["argv"] for case in GOLDEN}
+    written, compared = {}, []
+    for line in WORKFLOW.read_text().splitlines():
+        if "python -m permlex.cli " in line:
+            words = shlex.split(line)
+            cli = words.index("permlex.cli")
+            redirect = words.index(">")
+            written[words[redirect + 1]] = words[cli + 1 : redirect]
+        elif line.strip().startswith("cmp "):
+            compared.append(shlex.split(line)[1:])
+    assert compared
+    for out, golden in compared:
+        folder, name = golden.rsplit("/", 1)
+        assert folder == "tests/golden" and (GOLDEN_DIR / name).is_file(), golden
+        assert name in recorded, f"{golden} is not in commands.json"
+        assert written[out] == recorded[name], out

@@ -465,6 +465,50 @@ def test_audit_report_serialises(tm):
     assert len(blob["collisions"]) == 8
 
 
+def _brute_groups(rows):
+    members = {}
+    for i, row in enumerate(rows.tolist()):
+        members.setdefault(tuple(row), []).append(i)
+    return members
+
+
+@pytest.mark.parametrize("dtype,high", [(bool, 2), (np.uint8, 256), (np.uint16, 1 << 16)])
+@pytest.mark.parametrize(
+    "count,width,values",
+    [
+        (0, 3, 3),
+        (1, 4, 3),
+        (9, 2, 1),  # all rows equal
+        (40, 3, 3),
+        (200, 5, 2),
+        (300, None, None),  # all rows distinct, entries over the dtype's range
+    ],
+)
+def test_groups_match_a_dict_grouping(dtype, high, count, width, values):
+    rng = np.random.default_rng(count * 7 + high)
+    if values is None:
+        # The digits, base high, of distinct numbers below high ** width.
+        width = 9 if dtype is bool else 2
+        numbers = rng.permutation(count) * (high**width // count) + 1
+        rows = np.stack([numbers // high**j % high for j in range(width)], axis=1)
+    else:
+        rows = rng.integers(0, values, size=(count, width))
+    rows = rows.astype(dtype)
+    keys, groups = doubling._groups(rows)
+    members = _brute_groups(rows)
+    assert keys.size == len(members)
+    assert keys.tobytes() == np.unique(perms._row_keys(rows)).tobytes()
+    for group in groups:
+        assert group.tolist() == sorted(group.tolist())
+    assert sorted(group.tolist() for group in groups) == sorted(
+        indices for indices in members.values() if len(indices) > 1
+    )
+    if values == 1:
+        assert [group.tolist() for group in groups] == [list(range(count))]
+    if values is None:
+        assert keys.size == count and groups == []
+
+
 # -- complexity transfer bounds ---------------------------------------------------
 
 
@@ -597,3 +641,46 @@ def test_kept_bulk_scan_is_read_only(tm):
     assert doubling._bulk_windows(tm, 5, 64) is bulk
     with pytest.raises(ValueError):
         bulk.images[0, 0] = 0
+
+
+@pytest.mark.parametrize("spec,n", [("thue-morse", 8), ("thue-morse", 16), ("fibonacci", 12)])
+def test_audits_do_not_depend_on_their_order(spec, n):
+    # Thue-Morse collides at n = 8 and 16.  The checks kept with a scan must
+    # give each map the report a fresh source gives it, whichever map came
+    # first.
+    alone = {m: audit_map(parse_word_spec(spec), m, n).to_dict() for m in MAPS}
+    shared = parse_word_spec(spec)
+    forward = {m: audit_map(shared, m, n).to_dict() for m in MAPS}
+    backward = {m: audit_map(shared, m, n).to_dict() for m in reversed(MAPS)}
+    assert forward == backward == alone
+    reversed_first = parse_word_spec(spec)
+    assert {m: audit_map(reversed_first, m, n).to_dict() for m in reversed(MAPS)} == alone
+    assert any(report["collisions"] for report in alone.values()) == (spec == "thue-morse")
+
+
+def test_scan_checks_are_made_once_per_scan(monkeypatch):
+    builds = []
+    build = doubling._ScanAudit
+
+    def counting(**fields):
+        builds.append(fields["reps"].size)
+        return build(**fields)
+
+    monkeypatch.setattr(doubling, "_ScanAudit", counting)
+    tm = thue_morse_source()
+    verify_image_formulas(tm, 9, 256)
+    assert builds == []
+    for map_name in (*MAPS, *reversed(MAPS)):
+        audit_map(tm, map_name, 9, 256)
+    assert len(builds) == 1
+    with pytest.raises(ValueError):
+        doubling._bulk_windows(tm, 9, 256).audit.reps[0] = 1
+    # Another (n, scan) is another scan; the slot keeps only the last one, so
+    # returning to the first builds it again, and so does a delta in between.
+    audit_map(tm, "delta-m", 10, 256)
+    audit_map(tm, "delta", 9, 256)
+    assert len(builds) == 3
+    delta(tm, 3, 9)
+    audit_map(tm, "delta-r", 9, 256)
+    assert len(builds) == 4
+    assert builds[0] == builds[2] == builds[3] == audit_map(tm, "delta", 9, 256).domain_size
