@@ -6,16 +6,16 @@ lexicographic order.  One pattern is a tuple of ints; the bulk paths hold
 many as the rows of an unsigned array (``PermSet.rows``).
 
 Two routines of one ranking engine compute patterns.  ``subpermutation``
-ranks the shifts of one window by prefix doubling (``ranking.shift_ranks``),
-doubling its lookahead until they separate.  The bulk path,
-``_pattern_rows``, sorts one window per distinct factor of length n+H (H the
-separation depth over the scan, measured from letters by
+sorts the shifts of one window by their next letters as byte strings
+(``ranking.shift_ranks``), and again past the agreement of tied shifts.  The
+bulk path, ``_pattern_rows``, sorts one window per distinct factor of
+length n+H (H the separation depth over the scan, measured from letters by
 ``ranking.separation_depth``; factors keyed by the integer names of
 ``ranking.prefix_names``), ordering each window's shifts by their names
 2**j >= H+1 letters long (``ranking.window_patterns``), so it compares only
 shifts that share a window.  Both bulk callers share ``_pattern_rows``:
-enumeration (``perm_set``), each of whose saturation rounds is one call over
-the doubled scan, and the transfer audits.  ``compare_shifts`` orders a
+enumeration (``perm_set``), each of whose saturation rounds is one call
+over the doubled scan, and the transfer audits.  ``compare_shifts`` orders a
 single pair and names the offset where the two shifts first differ.
 Every path keeps the one agreement rule of ``ranking``, so the scalar and
 the bulk paths give the same pattern or raise the same error class.
@@ -23,6 +23,7 @@ the bulk paths give the same pattern or raise the same error class.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,7 @@ from .errors import (
     PrefixTooShort,
     WrongSource,
 )
+from . import ranking
 from .ranking import (
     DEFAULT_MAX_HORIZON,
     _agreement_limit,
@@ -43,7 +45,6 @@ from .ranking import (
     _sort_with_index,
     prefix_names,
     separation_depth,
-    shift_ranks,
     window_patterns,
 )
 from .words import DoubledSource, WordSource
@@ -78,6 +79,20 @@ def parse_perm(text: str) -> Perm:
     return p
 
 
+def _first_difference(source: WordSource, a: int, b: int, span: int) -> int | None:
+    # The first offset below ``span`` where the shifts at ``a`` and ``b``
+    # differ, or None: 64 offsets, then doubling slices.
+    top = max(a, b)
+    lo, hi = 0, min(64, span)
+    while lo < hi:
+        w = source.letters(top + hi)
+        diff = np.flatnonzero(w[a + lo : a + hi] != w[b + lo : b + hi])
+        if diff.size:
+            return lo + int(diff[0])
+        lo, hi = hi, min(2 * hi, span)
+    return None
+
+
 def compare_shifts(
     source: WordSource, a: int, b: int, max_horizon: int = DEFAULT_MAX_HORIZON
 ) -> tuple[int, int]:
@@ -88,10 +103,8 @@ def compare_shifts(
     first differing letter.  Raises ``HorizonExhausted`` if the shifts agree
     on more than ``ranking._agreement_limit`` letters, at the reach
     ``max(a, b) + 1``, and ``ranking._out_of_letters`` if the letters run
-    out first.  The first 64 offsets are compared before any later one, and
-    the compared slice then doubles, so a near difference reads few letters.
-    The prefix grows only when they pass it, and then by the source's one
-    growth rule, which at least doubles it up to what the word can produce.
+    out first.  The scan reads 64 offsets, then doubling slices, so the
+    prefix grows only as far as the first difference needs.
     """
     if a < 0 or b < 0:
         raise DomainError("shift positions must be nonnegative")
@@ -105,14 +118,10 @@ def compare_shifts(
     limit = _agreement_limit(top + 1, max_horizon)
     # Shifts that agree on all of the offsets 0..limit agree on more than it.
     span = min(limit + 1, end - top)
-    lo, hi = 0, min(64, span)
-    while lo < hi:
-        w = source.letters(top + hi)
-        diff = np.flatnonzero(w[a + lo : a + hi] != w[b + lo : b + hi])
-        if diff.size:
-            c = lo + int(diff[0])
-            return (LESS if w[a + c] < w[b + c] else GREATER, c)
-        lo, hi = hi, min(2 * hi, span)
+    c = _first_difference(source, a, b, span)
+    if c is not None:
+        w = source.letters(top + c + 1)
+        return (LESS if w[a + c] < w[b + c] else GREATER, c)
     pair = f"shifts at {a} and {b} of {source.spec_string()}"
     if span <= limit:
         raise _out_of_letters(source, f"{pair} agree until the last letter")
@@ -124,11 +133,12 @@ def subpermutation(
 ) -> Perm:
     """Pattern of the window ``[a, a+n)``: entry i is the rank of shift ``a+i``.
 
-    The lookahead starts at 64 letters and doubles, reading letters only as
-    far as the source supplies them.  As with :func:`compare_shifts`, at
-    the reach ``a + n``, two shifts that agree on more than
-    ``ranking._agreement_limit`` letters raise ``HorizonExhausted``, and
-    running out of letters raises ``ranking._out_of_letters``.
+    One sort of the shifts' next 64 letters (``ranking.shift_ranks``) orders
+    them.  On a tie, :func:`compare_shifts`' scan of two tied pairs sets the
+    next horizon past their longer agreement, and to at least twice the
+    last.  As with :func:`compare_shifts`, at the reach ``a + n``, shifts
+    agreeing on more than ``ranking._agreement_limit`` letters raise
+    ``HorizonExhausted``; running out raises ``ranking._out_of_letters``.
     """
     if a < 0:
         raise DomainError("window start must be nonnegative")
@@ -146,20 +156,32 @@ def subpermutation(
     while True:
         w = source.letters(min(a + n + horizon, end))[a:]
         try:
-            ranks = shift_ranks(w, n, horizon)
+            ranks = ranking.shift_ranks(w, n, horizon)
         except PrefixTooShort:
             raise _out_of_letters(
                 source, f"two of the shifts {a}..{a + n - 1} agree until the "
                 f"last letter of {source.spec_string()}"
             ) from None
         if ranks is not None:
-            return tuple((np.argsort(np.argsort(ranks)) + 1).tolist())
-        if horizon > limit:
-            raise HorizonExhausted(
-                f"two of the shifts {a}..{a + n - 1} of {source.spec_string()} "
-                f"agree on more than {limit} letters"
-            )
-        horizon = min(2 * horizon, limit + 1)
+            return tuple((ranks + 1).tolist())
+        # The first two and the last two shifts that share the least tied
+        # key.  A pair that agrees until the last letter ties no more one
+        # letter on, so the next round raises for it unless a pair still ties.
+        text = w[: n - 1 + horizon].tobytes()
+        keys = [text[i : i + horizon] for i in range(n)]
+        least = min(key for key, count in Counter(keys).items() if count > 1)
+        tied = [i for i, key in enumerate(keys) if key == least]
+        agree = 0
+        for p, q in {(tied[0], tied[1]), (tied[-2], tied[-1])}:
+            span = min(limit + 1, end - a - q)
+            c = _first_difference(source, a + p, a + q, span)
+            if c is None and span > limit:
+                raise HorizonExhausted(
+                    f"two of the shifts {a}..{a + n - 1} of {source.spec_string()} "
+                    f"agree on more than {limit} letters"
+                )
+            agree = max(agree, span if c is None else c)
+        horizon = min(max(2 * horizon, agree + 1), limit + 1)
 
 
 def form_of(p: Perm) -> str:

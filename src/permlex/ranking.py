@@ -1,30 +1,28 @@
 """Lexicographic ranking of word shifts: the one ranking engine.
 
-``shift_ranks`` orders the first P shifts of a letter buffer by prefix
-doubling: start from single-letter ranks and repeatedly merge each rank with
-the rank a few positions on (the last round shortened), so that ranks
-compare exactly ``horizon`` letters.  It returns ``None`` only when two
-shifts agree on all ``horizon`` letters.  The end of the buffer is the end
-of the word: two shifts that agree until it raise ``PrefixTooShort``, since
-no further letter can order them.
+``shift_ranks`` orders the first P shifts of a letter buffer with one sort
+of their next ``horizon`` letters as byte strings, and one pass over
+adjacent sorted keys.  It returns ``None`` only when two shifts agree on all
+``horizon`` letters.  The end of the buffer is the end of the word: a key
+cut short by it sorts first among the keys it begins, and when one begins
+another, no further letter can order them, so ``PrefixTooShort`` is raised.
 
-A merge packs each pair of ranks into one integer key, and each key's
-position into the key's low bits, and sorts the packed keys once in place
-(``_sort_with_index``).  The same sort groups a scan's starts by their
-factors in ``perms._pattern_rows``.
+A prefix-doubling merge (``_merge``) packs each pair of ranks into one
+integer key, and each key's position into the key's low bits, and sorts the
+packed keys once in place (``_sort_with_index``).  The same sort groups a
+scan's starts by their factors in ``perms._pattern_rows``.
 
 ``separation_depth`` reads how far shifts less than n apart agree over a
 scan's shifts from letters alone, out of ``WordSource._agreement``.
 
 The bulk paths read one table on the source, ``WordSource._names``: Karp,
 Miller & Rosenberg's names of the 2**j-letter factors, level j+1 made from
-level j by the same merge step (``_merge``) that ``shift_ranks`` doubles
-with, so the engine has one prefix-doubling step.  ``prefix_names`` keys
-factors of any length for grouping: a factor of length L is a pair of names
-at level floor(log2 L), packed into one int64 key that sorts as the factor
-does.  ``window_patterns`` orders the shifts of each window by their names
-at the first level longer than the separation depth, which is the one
-shift order the bulk paths hold.
+level j by the merge step (``_merge``), the engine's one prefix-doubling
+step.  ``prefix_names`` keys factors of any length for grouping: a factor
+of length L is a pair of names at level floor(log2 L), packed into one
+int64 key that sorts as the factor does.  ``window_patterns`` orders the
+shifts of each window by their names at the first level longer than the
+separation depth, which is the one shift order the bulk paths hold.
 
 Every path that compares shifts (``separation_depth`` and the bulk paths,
 ``perms.subpermutation`` and ``perms.compare_shifts``) keeps one agreement
@@ -68,53 +66,34 @@ def _out_of_letters(source: WordSource, what: str) -> PrefixTooShort | LimitExce
 def shift_ranks(
     letters: np.ndarray, positions: int, horizon: int
 ) -> np.ndarray | None:
-    """Ranks of the first ``positions`` shifts of ``letters``, comparing
-    exactly ``horizon`` letters.
+    """Ranks 0..positions-1 of the first ``positions`` shifts of the int8
+    ``letters``: one sort of their ``horizon``-letter keys as byte strings.
 
-    Returned ranks are order-isomorphic integers (they say how shifts compare,
-    not where they sit in ``0..positions-1``).  Returns ``None`` when two
-    shifts agree on ``horizon`` letters; the caller decides whether to retry
-    with more lookahead or give up.  The end of ``letters`` is the end of the
-    word: when two shifts agree until it, ``PrefixTooShort`` is raised.
+    Returns ``None`` when two shifts agree on ``horizon`` letters; the caller
+    decides whether to retry with more lookahead or give up.  The end of
+    ``letters`` is the end of the word: a key it cuts short sorts first among
+    the keys it begins, so it begins its sorted neighbour, and then only the
+    end orders them: ``PrefixTooShort`` is raised.
     """
-    if positions == 0:
-        return np.empty(0, dtype=np.int64)
     if letters.size < positions:
         raise PrefixTooShort(
             f"cannot rank {positions} shifts: only {letters.size} letters exist"
         )
-    first = _ranks_with_end(letters, positions, horizon, -1)
-    if first is None or letters.size >= positions + horizon:
-        return first
-    # A shift may run out within the horizon.  Only a pair that agrees until
-    # the word ends is ordered by where the end sorts, so rank again with the
-    # end sorted last and require the same order.
-    last = _ranks_with_end(letters, positions, horizon, letters.size)
-    if not np.array_equal(np.argsort(first), np.argsort(last)):
-        raise PrefixTooShort(
-            f"two of {positions} shifts agree until the word ends "
-            f"after {letters.size} letters"
-        )
-    return first
-
-
-def _ranks_with_end(
-    letters: np.ndarray, positions: int, horizon: int, end: int
-) -> np.ndarray | None:
-    # Prefix doubling with ``end`` (-1 or the buffer's size) standing for the
-    # letters past the buffer: after each merge the ranks compare ``width +
-    # step`` letters.
-    rank = letters.astype(np.int64)
-    width = 1
-    while True:
-        head = rank[:positions]
-        if np.bincount(head).max() == 1:
-            return head.copy()
-        if width >= horizon:
-            return None
-        step = min(width, horizon - width)
-        rank = _merge(rank, step, end)
-        width += step
+    text = letters[: positions - 1 + horizon].tobytes()
+    keys = [text[i : i + horizon] for i in range(positions)]
+    if len(set(keys)) < positions:
+        return None
+    order = sorted(range(positions), key=keys.__getitem__)
+    if len(text) < positions - 1 + horizon:
+        keys = [keys[i] for i in order]
+        if any(map(bytes.startswith, keys[1:], keys)):
+            raise PrefixTooShort(
+                f"two of {positions} shifts agree until the word ends "
+                f"after {letters.size} letters"
+            )
+    ranks = np.empty(positions, dtype=np.int64)
+    ranks[np.fromiter(order, np.int64, positions)] = np.arange(positions)
+    return ranks
 
 
 def _merge(rank: np.ndarray, step: int, end: int) -> np.ndarray:
@@ -167,8 +146,8 @@ def prefix_names(
     factor ``w[a, a+length)`` is the pair of overlapping 2**j-letter factors
     at ``a`` and ``a + length - 2**j``, each named by level j of the table the
     source owns.  A finite word's factors stop at its end, and one cut short
-    sorts before every longer factor it begins, as the end sentinel -1 does
-    in ``shift_ranks``.  The caller keeps every factor within
+    sorts before every longer factor it begins, as a key cut short does in
+    ``shift_ranks``.  The caller keeps every factor within
     ``source.max_available()``, as ``perms._pattern_rows`` does.  Keys are
     below ``size**2``, ``size = source._names[0]`` the size of the table
     they were read from.
@@ -290,8 +269,7 @@ def window_patterns(
     window past the last letter raises ``_out_of_letters``, and so does one
     whose order the word's end decides: names cut at the end sort a shorter
     factor first, so the windows whose names reach past the last letter are
-    ranked again with the end sorted last, as ``shift_ranks`` does, and must
-    keep their order.
+    ranked again with the end sorted last, and must keep their order.
 
     Each row is two in-place sorts of packed keys, ``value << shift |
     column`` with n <= 2**shift: sorting the names' keys puts each shift's

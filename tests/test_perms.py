@@ -1,5 +1,6 @@
 """Window patterns, restrictions, and pattern-set enumeration."""
 
+import functools
 import tracemalloc
 from itertools import combinations
 
@@ -151,6 +152,141 @@ def test_subpermutation_validation(tm):
         subpermutation(tm, 0, 0)
     with pytest.raises(DomainError):
         subpermutation(tm, -2, 4)
+
+
+# -- windows whose shifts tie past the first 64 letters --------------------------
+
+#: Words whose nearby shifts agree on long runs, with their string oracles.
+_LONG_TIES = {
+    "sturmian:60,1": (
+        lambda: sturmian_characteristic((60, 1)),
+        lambda m: naive_sturmian((60, 1), m),
+    ),
+    "sturmian:5000": (
+        lambda: sturmian_characteristic((5000,)),
+        lambda m: naive_sturmian((5000,), m),
+    ),
+    "fibonacci": (fibonacci_source, naive_fibonacci),
+    "double(fibonacci)": (
+        lambda: double(fibonacci_source()),
+        lambda m: naive_double(naive_fibonacci(m)),
+    ),
+}
+
+#: Letters the string oracle compares from each shift: more than two shifts
+#: less than 300 apart and below 60,300 agree on in any of these words.
+_ORACLE_SPAN = 20_000
+
+
+@functools.cache
+def _long_tie_word(name):
+    build, text = _LONG_TIES[name]
+    return build(), text(60_300 + _ORACLE_SPAN)
+
+
+def _sorted_ranks(keys):
+    # 1-based rank of each key under string order.
+    ranks = [0] * len(keys)
+    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__), 1):
+        ranks[i] = rank
+    return tuple(ranks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_LONG_TIES)),
+    a=st.integers(0, 59_999),
+    n=st.integers(1, 300),
+)
+# Shifts on both sides of a 1 tie at 64 letters, some for about 5000 more.
+@example(name="sturmian:5000", a=54833, n=266)
+@example(name="sturmian:5000", a=19856, n=281)
+@example(name="sturmian:60,1", a=38307, n=207)
+@example(name="fibonacci", a=44161, n=265)
+@example(name="double(fibonacci)", a=33788, n=215)
+def test_subpermutation_against_string_sort_past_64_letters(name, a, n):
+    source, text = _long_tie_word(name)
+    keys = [text[a + i : a + i + _ORACLE_SPAN] for i in range(n)]
+    assert len(set(keys)) == n, "the oracle's span does not order the window"
+    horizons = []
+    counted = ranking.shift_ranks
+
+    def counting(*args):
+        horizons.append(args[2])
+        return counted(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranking, "shift_ranks", counting)
+        assert subpermutation(source, a, n) == _sorted_ranks(keys)
+    # A tie sets the next horizon past a tied pair's agreement, so the
+    # windows of sturmian:5000 take at most three sorts, not one per doubling.
+    assert horizons and horizons[0] == 64
+    if name == "sturmian:5000":
+        assert len(horizons) <= 3, horizons
+
+
+#: Finite words of long runs or short periods: a window's shifts tie past 64
+#: letters, and often agree until the last letter.
+_RUN_WORDS = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from("01"), st.integers(1, 200)), min_size=1, max_size=5
+    ).map(lambda runs: "".join(letter * count for letter, count in runs)),
+    st.builds(
+        lambda period, length, tail: (period * 300)[:length] + tail,
+        st.sampled_from(["01", "001", "0110", "01001"]),
+        st.integers(1, 600),
+        st.sampled_from(["", "0", "1"]),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_RUN_WORDS.flatmap(
+        lambda text: st.integers(0, len(text) - 1).flatmap(
+            lambda a: st.tuples(
+                st.just(text), st.just(a), st.integers(1, len(text) - a)
+            )
+        )
+    )
+)
+# Shifts 100 and 102 agree until the last letter.
+@example(case=("01" * 150, 100, 5))
+# Every shift of the window begins with 64 zeros; 100 letters order them.
+@example(case=("0" * 100 + "1" + "0" * 100 + "1", 0, 30))
+# Shifts 0 and 1 tie past 64 letters, and shifts 102 and 103 agree until
+# the last letter.
+@example(case=("0" * 100 + "1" + "0" * 80, 0, 104))
+def test_subpermutation_on_finite_words_against_string_sort(case):
+    # The whole rest of the word orders the window, unless one shift's rest
+    # begins another's: then only the word's end orders them, and the
+    # window has no pattern.
+    text, a, n = case
+    tails = [text[a + i :] for i in range(n)]
+    order = sorted(range(n), key=tails.__getitem__)
+    if any(tails[j].startswith(tails[i]) for i, j in zip(order, order[1:])):
+        with pytest.raises(PrefixTooShort):
+            subpermutation(explicit_source(text), a, n)
+    else:
+        assert subpermutation(explicit_source(text), a, n) == _sorted_ranks(tails)
+
+
+def test_subpermutation_of_a_deep_periodic_window_holds_little_memory():
+    # Shifts two apart of 0101... agree on every letter.  One scan of a tied
+    # pair reaches the agreement limit of 1.6 million letters, and no sort
+    # of 300 keys that long is made.  Most of the peak is the source growing
+    # its prefix to two million letters.
+    periodic = MorphicSource({0: (0, 1), 1: (0, 1)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(HorizonExhausted):
+            subpermutation(periodic, 100_000, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    with pytest.raises(HorizonExhausted):
+        compare_shifts(periodic, 100_000, 100_002)
 
 
 _FINITE = "0110" * 8 + "0"
