@@ -23,7 +23,6 @@ the bulk paths give the same pattern or raise the same error class.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,13 +163,10 @@ def subpermutation(
             ) from None
         if ranks is not None:
             return tuple((ranks + 1).tolist())
-        # The first two and the last two shifts that share the least tied
-        # key.  A pair that agrees until the last letter ties no more one
-        # letter on, so the next round raises for it unless a pair still ties.
-        text = w[: n - 1 + horizon].tobytes()
-        keys = [text[i : i + horizon] for i in range(n)]
-        least = min(key for key, count in Counter(keys).items() if count > 1)
-        tied = [i for i, key in enumerate(keys) if key == least]
+        # The first two and the last two shifts of the least tied group.  A
+        # pair that agrees until the last letter ties no more one letter on,
+        # so the next round raises for it unless a pair still ties.
+        tied = ranking._sort_shifts(w, n, horizon)[1]
         agree = 0
         for p, q in {(tied[0], tied[1]), (tied[-2], tied[-1])}:
             span = min(limit + 1, end - a - q)

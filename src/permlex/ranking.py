@@ -1,8 +1,10 @@
 """Lexicographic ranking of word shifts: the one ranking engine.
 
-``shift_ranks`` orders the first P shifts of a letter buffer with one sort
-of their next ``horizon`` letters as byte strings, and one pass over
-adjacent sorted keys.  It returns ``None`` only when two shifts agree on all
+``shift_ranks`` orders the first P shifts of a letter buffer by sorting
+their next ``horizon`` letters as byte strings and checking adjacent sorted
+keys.  Shifts whose keys tie short of the horizon are sorted again by the
+letters past them, with keys short enough that memory stays within the
+buffer's size.  It returns ``None`` only when two shifts agree on all
 ``horizon`` letters.  The end of the buffer is the end of the word: a key
 cut short by it sorts first among the keys it begins, and when one begins
 another, no further letter can order them, so ``PrefixTooShort`` is raised.
@@ -32,9 +34,11 @@ of letters raises is ``_out_of_letters``.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
-from .errors import HorizonExhausted, LimitExceeded, PrefixTooShort
+from .errors import DomainError, HorizonExhausted, LimitExceeded, PrefixTooShort
 from .words import WordSource
 
 #: Sets, with a comparison's reach, how far its shifts may agree on every
@@ -63,11 +67,17 @@ def _out_of_letters(source: WordSource, what: str) -> PrefixTooShort | LimitExce
     )
 
 
+#: A group of g shifts sorts by its next max(_KEY_MIN, budget // g) letters,
+#: budget the larger of the buffer and _KEY_BYTES: keys stay within the
+#: buffer's size however far the horizon reaches.
+_KEY_MIN, _KEY_BYTES = 64, 1 << 20
+
+
 def shift_ranks(
     letters: np.ndarray, positions: int, horizon: int
 ) -> np.ndarray | None:
-    """Ranks 0..positions-1 of the first ``positions`` shifts of the int8
-    ``letters``: one sort of their ``horizon``-letter keys as byte strings.
+    """Ranks 0..positions-1 of the first ``positions`` shifts of ``letters``
+    (integers 0..255), comparing their next ``horizon`` letters as bytes.
 
     Returns ``None`` when two shifts agree on ``horizon`` letters; the caller
     decides whether to retry with more lookahead or give up.  The end of
@@ -79,21 +89,55 @@ def shift_ranks(
         raise PrefixTooShort(
             f"cannot rank {positions} shifts: only {letters.size} letters exist"
         )
-    text = letters[: positions - 1 + horizon].tobytes()
-    keys = [text[i : i + horizon] for i in range(positions)]
-    if len(set(keys)) < positions:
+    order = _sort_shifts(letters, positions, horizon)[0]
+    if order is None:
         return None
-    order = sorted(range(positions), key=keys.__getitem__)
-    if len(text) < positions - 1 + horizon:
-        keys = [keys[i] for i in order]
-        if any(map(bytes.startswith, keys[1:], keys)):
-            raise PrefixTooShort(
-                f"two of {positions} shifts agree until the word ends "
-                f"after {letters.size} letters"
-            )
     ranks = np.empty(positions, dtype=np.int64)
     ranks[np.fromiter(order, np.int64, positions)] = np.arange(positions)
     return ranks
+
+
+def _sort_shifts(
+    letters: np.ndarray, positions: int, horizon: int
+) -> tuple[list[int] | None, list[int] | None]:
+    # (order, None): the first ``positions`` shifts of ``letters`` in the
+    # order of their next ``horizon`` letters; or (None, tied): the least
+    # group of shifts that agree on all of them, ascending.  A group that
+    # agrees on its first ``depth`` letters sorts by its next ``step``
+    # letters as byte strings; each run of equal keys is then a group
+    # ``step`` letters deeper.
+    text = letters[: positions - 1 + horizon]
+    if text.dtype.itemsize != 1:
+        if text.size and not 0 <= text.min() <= text.max() <= 255:
+            raise DomainError("shift_ranks compares letters 0..255")
+        text = text.astype(np.uint8)
+    text = text.tobytes()
+    budget = max(len(text), _KEY_BYTES)
+    order, cut, groups = [], False, [(0, range(positions))]
+    while groups:
+        depth, group = groups.pop()
+        if len(group) < 2:
+            order += group
+            continue
+        step = min(horizon - depth, max(_KEY_MIN, budget // len(group)))
+        keys = {i: text[i + depth : i + depth + step] for i in group}
+        ranked = sorted(keys, key=keys.__getitem__)
+        if len(text) < positions - 1 + horizon:
+            sk = [keys[i] for i in ranked]
+            cut = cut or any(p != q and q.startswith(p) for p, q in zip(sk, sk[1:]))
+        if len(set(keys.values())) == len(ranked):
+            order += ranked
+            continue
+        runs = [list(run) for _, run in groupby(ranked, keys.__getitem__)]
+        if depth + step == horizon:
+            return None, sorted(next(run for run in runs if len(run) > 1))
+        groups += [(depth + step, run) for run in reversed(runs)]
+    if cut:
+        raise PrefixTooShort(
+            f"two of {positions} shifts agree until the word ends "
+            f"after {letters.size} letters"
+        )
+    return order, None
 
 
 def _merge(rank: np.ndarray, step: int, end: int) -> np.ndarray:

@@ -289,6 +289,25 @@ def test_subpermutation_of_a_deep_periodic_window_holds_little_memory():
         compare_shifts(periodic, 100_000, 100_002)
 
 
+def test_subpermutation_deep_in_a_long_run_holds_little_memory():
+    # The window lies inside the first run of two million zeros, so shifts
+    # 0 and 1 agree on about a million letters and the second sort's
+    # horizon is that long.  Its keys are a few thousand letters a sort,
+    # not 300 keys of a million letters each (about 300 MB).  Prefix
+    # doubling peaked near 57 MB here; most of this peak is the source
+    # growing its prefix.
+    run = sturmian_characteristic((2_000_000,))
+    tracemalloc.start()
+    try:
+        pattern = subpermutation(run, 1_000_000, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A later shift meets the run's end sooner, and the 1 there puts it later.
+    assert pattern == tuple(range(1, 301))
+    assert peak < 20_000_000
+
+
 _FINITE = "0110" * 8 + "0"
 
 

@@ -142,6 +142,52 @@ def test_shift_ranks_on_finite_buffers_against_string_oracle(case):
         assert got is not None and _dense(got) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_FINITE_BUFFERS.flatmap(
+        lambda text: st.tuples(
+            st.just(text), st.integers(0, len(text)), st.integers(1, 70)
+        )
+    )
+)
+# Shifts 0 and 2 agree on 8 letters, as a group of three, two and then one
+# key letter a sort; only the end orders shifts 1 and 3.
+@example(case=("0101010101", 4, 9))
+def test_shift_ranks_sorting_few_letters_a_key_against_string_oracle(case):
+    # Keys of one letter or a few: tied groups are sorted again past their
+    # agreement, many levels deep, and the least tied group is the one the
+    # smallest repeated key names.
+    text, positions, horizon = case
+    want = _finite_oracle(text, positions, horizon)
+    letters = _letters(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranking, "_KEY_MIN", 1)
+        patch.setattr(ranking, "_KEY_BYTES", 0)
+        if want is PrefixTooShort:
+            with pytest.raises(PrefixTooShort):
+                shift_ranks(letters, positions, horizon)
+        elif want is None:
+            assert shift_ranks(letters, positions, horizon) is None
+            subs = [text[p : p + horizon] for p in range(positions)]
+            least = min(s for s in subs if subs.count(s) > 1)
+            tied = [p for p in range(positions) if subs[p] == least]
+            assert ranking._sort_shifts(letters, positions, horizon) == (None, tied)
+        else:
+            assert _dense(shift_ranks(letters, positions, horizon)) == want
+
+
+def test_shift_ranks_takes_wide_integer_letters():
+    # Keys are bytes, so wider letters are narrowed first, and letters a
+    # byte cannot hold are refused rather than wrapped.
+    for dtype in (np.int64, np.uint16, np.int32):
+        assert _dense(shift_ranks(np.array([0, 1, 1, 0], dtype=dtype), 3, 4)) == [0, 2, 1]
+    assert _dense(shift_ranks(np.array([200, 2, 1]), 3, 1)) == [2, 1, 0]
+    with pytest.raises(PermlexError):
+        shift_ranks(np.array([256, 0, 1]), 3, 1)
+    with pytest.raises(PermlexError):
+        shift_ranks(np.array([0, -1, 1]), 3, 1)
+
+
 def test_ranked_word_detects_periodic_words():
     # Shifts two apart of 0101... never separate: the depth that would order
     # them is past every limit, and no depth gives names that do.
