@@ -20,26 +20,24 @@ One routine (``_window_rows``) reads the letters, run classes and class
 sizes of any number of windows, and one (``_images``) evaluates the formula
 on them.  The scalar entry points call both on a single window
 (``class_profile``, ``delta`` and friends) or on two one-letter windows
-(``doubling_order_case``); ``audit_map`` and ``verify_image_formulas`` call
-them on a scan and compare against patterns computed directly on the
-doubled word.  Everything a scan window feeds the formula and the direct
-ranking is a function of a base factor starting at it, so ``_bulk_windows``
-takes its base rows from ``perms._pattern_rows``, the routine enumeration
-uses: one row per distinct factor, weighted by the starts that share it.
-``MAPS`` defines the four transfer maps by the entries each trims from the
-doubled window, and drives both paths: ``delta_left``/``delta_right``/
-``delta_middle`` trim one image by it, the bulk path trims every image row.
-``_BulkWindows.direct`` is the one routine that ranks doubled windows
-directly, by the doubled twin's names at the depth ``_bulk_windows`` proves,
-for the formula check, ``verify_image_formulas`` and the surjectivity side
-of ``audit_map`` on the trimmed maps.  The source owns one slot for the last
-transfer window, ``WordSource._last_transfer``: ``delta`` and
-``_bulk_windows`` store their last result there, so the trimmed maps of one
-window, and every map audited over one scan, reuse the untrimmed build.
-The audit checks that read only the untrimmed scan (the domain, the
-restrictions, type-1 pairs, class gaps) live on the kept scan as
-``_BulkWindows.audit``, made on its first audit; each map's audit adds only
-its trim, its collisions and its surjectivity.
+(``doubling_order_case``); ``_bulk_windows`` calls them on a scan and checks
+the images against the doubled windows ranked directly, once per scan.
+Everything a scan window feeds the formula and that ranking is a function of
+a base factor starting at it, so ``_bulk_windows`` takes its base rows from
+``perms._pattern_rows``, the routine enumeration uses: one row per distinct
+factor, weighted by the starts that share it.  ``MAPS`` defines the four
+transfer maps by the entries each trims from the doubled window, and drives
+both paths: ``delta_left``/``delta_right``/``delta_middle`` trim one image
+by it, the bulk path trims every image row.  A trimmed doubled window is a
+sub-window of the untrimmed one, so its pattern is the image's restriction
+(``perms.restrict_rows``), and no trimmed map ranks a window again.  The
+source owns one slot for the last transfer window,
+``WordSource._last_transfer``: ``delta`` and ``_bulk_windows`` store their
+last result there, so the trimmed maps of one window, and every map audited
+over one scan, reuse the untrimmed build.  The audit checks that read only
+the untrimmed scan (the domain, the restrictions, type-1 pairs, class gaps)
+live on the kept scan as ``_BulkWindows.audit``, made on its first audit;
+each map's audit adds only its trim, its collisions and its surjectivity.
 """
 
 from __future__ import annotations
@@ -378,8 +376,8 @@ def doubling_order_case(
 
 @dataclass(frozen=True)
 class _BulkWindows:
-    """Per-factor data for the starts of a scan: patterns, classes, formula
-    images, and the doubled word and depth they were checked against.
+    """Per-factor data for the starts of a scan: patterns, classes, and the
+    formula images, equal to the doubled windows ranked directly.
 
     Row i stands for the ``weights[i]`` scan starts that share the base
     factor of ``starts[i]``, their first; every per-window value below is a
@@ -394,16 +392,7 @@ class _BulkWindows:
     core_patterns: np.ndarray   # (F, n)
     classes: np.ndarray         # (F, n)
     class_complete: np.ndarray  # (F,) every class inhabited
-    images: np.ndarray          # (F, 2n) via the class formula
-    doubled: WordSource         # the doubled twin of the source
-    doubled_depth: int          # most letters two shifts of a doubled window share
-
-    def direct(self, lead: int, trail: int) -> np.ndarray:
-        """Patterns of the doubled windows ``[2a+lead, 2a+2n-trail)`` for every
-        row's start ``a``, ranked directly on the doubled word."""
-        starts = 2 * self.starts + lead
-        length = 2 * self.n - lead - trail
-        return window_patterns(self.doubled, starts, length, self.doubled_depth)
+    images: np.ndarray          # (F, 2n) via the class formula, checked directly
 
     @cached_property
     def audit(self) -> _ScanAudit:
@@ -490,8 +479,8 @@ def _bulk_windows(
     one on one more than twice that of the next base pair, and copies of
     mixed parity only inside one run.  So the copies of
     ``w[a, a+n+max(H(n)+1, k))``, a prefix of the row's factor, fix the
-    doubled window's pattern, and that of every trimmed window inside it,
-    and ``direct`` orders the doubled shifts at that depth.
+    doubled window's pattern, ranked on the doubled word at that depth and
+    asserted equal to the image; a trimmed window's pattern restricts it.
 
     The source keeps the last scan, its arrays read-only, so every map
     audited at the same ``(n, scan_window)`` reuses it and the audit checks
@@ -513,6 +502,14 @@ def _bulk_windows(
     core_patterns = restrict_rows(base_patterns, 0, k)
     window_letters, classes, gamma = _window_rows(source, bounds, starts, n)
     images = _images(core_patterns, classes, gamma, window_letters)
+    doubled = window_patterns(
+        _doubled_view(source), 2 * starts, 2 * n, max(2 * depth + 1, 2 * k - 1)
+    )
+    if not np.array_equal(images, doubled):
+        raise AssertionError(
+            "doubling image formula disagrees with directly ranked doubled "
+            "windows; this is a bug"
+        )
     bulk = _BulkWindows(
         n=n,
         bounds=bounds,
@@ -523,14 +520,7 @@ def _bulk_windows(
         classes=classes,
         class_complete=(gamma > 0).all(axis=1),
         images=images,
-        doubled=_doubled_view(source),
-        doubled_depth=max(2 * depth + 1, 2 * k - 1),
     )
-    if not np.array_equal(images, bulk.direct(0, 0)):
-        raise AssertionError(
-            "doubling image formula disagrees with directly ranked doubled "
-            "windows; this is a bug"
-        )
     for array in (starts, weights, base_patterns, core_patterns, classes, images):
         array.setflags(write=False)
     bulk.class_complete.setflags(write=False)
@@ -541,11 +531,7 @@ def _bulk_windows(
 @dataclass(frozen=True)
 class ImageFormulaCheck:
     """Outcome of comparing the class formula against direct ranking for all
-    four maps over every window of a scan.
-
-    ``windows`` and each count in ``mismatches`` are scan windows: a distinct
-    base factor counts once for every start that shows it.
-    """
+    four maps over the ``windows`` starts of a scan."""
 
     source_spec: str
     half_length: int
@@ -565,26 +551,18 @@ def verify_image_formulas(
 ) -> ImageFormulaCheck:
     """Compare formula images (and their three restrictions) with patterns
     ranked directly on the doubled word, for every window start in
-    ``[0, scan_window)``: once per distinct base factor, weighted by the
-    starts that share it."""
-    bulk = _bulk_windows(source, n, scan_window, max_horizon)
-    # _bulk_windows has asserted that the unrestricted images equal the
-    # direct doubled windows, so only the restricted maps are ranked here.
-    mismatches = {
-        name: int(
-            bulk.weights[
-                (restrict_rows(bulk.images, *trim) != bulk.direct(*trim)).any(axis=1)
-            ].sum()
-        )
-        if any(trim)
-        else 0
-        for name, trim in MAPS.items()
-    }
+    ``[0, scan_window)``.
+
+    The comparison is made when the scan is built (or kept): ``_bulk_windows``
+    ranks the doubled windows and raises unless they equal the images, and a
+    trimmed window's pattern restricts its window's, so no map mismatches.
+    """
+    _bulk_windows(source, n, scan_window, max_horizon)
     return ImageFormulaCheck(
         source_spec=source.spec_string(),
         half_length=n,
         windows=scan_window,
-        mismatches=mismatches,
+        mismatches=dict.fromkeys(MAPS, 0),
     )
 
 
@@ -605,11 +583,10 @@ class AuditReport:
 
     The domain is the set of distinct ``(n+k)``-patterns seen in the scan.
     Per map: ``image_length``, ``image_size``, ``collisions`` and
-    ``surjective``.  ``surjective`` cross-checks the formula images of the
-    domain against the doubled windows ranked directly at the same starts
-    (for ``delta``, the rows ``_bulk_windows`` already ranked), so both sides
-    share one horizon, and it can be False only if the two rankings
-    disagree.
+    ``surjective``.  ``surjective`` compares the formula images of the
+    domain with the doubled windows at every scan start, restricted from
+    the rows ``_bulk_windows`` ranked directly and asserted equal to the
+    images, so it fails only where one domain pattern has two images.
 
     Per scan, the same for every map audited over one ``(n, scan_window)``:
     ``domain_size`` and the structural fields.  They check, on the full
@@ -706,9 +683,9 @@ def audit_map(
         for i, j in combinations(scan.reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
-    # Untrimmed, the direct doubled windows are the rows _bulk_windows ranked
-    # and asserted equal to the images; only a trimmed map ranks again.
-    direct = bulk.images if (lead, trail) == (0, 0) else bulk.direct(lead, trail)
+    # A trimmed doubled window's pattern restricts the untrimmed one, which
+    # _bulk_windows ranked directly and asserted equal to the image.
+    direct = restrict_rows(bulk.images, lead, trail)
     # Rows of both are permutations of 1..image_length, so their keys share
     # one dtype and the sorted distinct keys are equal as bytes iff the sets are.
     surjective = image_keys.tobytes() == np.unique(_row_keys(direct)).tobytes()

@@ -24,7 +24,8 @@ step.  ``prefix_names`` keys factors of any length for grouping: a factor
 of length L is a pair of names at level floor(log2 L), packed into one
 int64 key that sorts as the factor does.  ``window_patterns`` orders the
 shifts of each window by their names at the first level longer than the
-separation depth, which is the one shift order the bulk paths hold.
+separation depth, the one shift order the bulk paths hold.  It ranks each
+window once; one that the word's end reaches is checked on its finished row.
 
 Every path that compares shifts (``separation_depth`` and the bulk paths,
 ``perms.subpermutation`` and ``perms.compare_shifts``) keeps one agreement
@@ -140,21 +141,20 @@ def _sort_shifts(
     return order, None
 
 
-def _merge(rank: np.ndarray, step: int, end: int) -> np.ndarray:
+def _merge(rank: np.ndarray, step: int) -> np.ndarray:
     # The one prefix-doubling step: the dense rank of the pair (rank[x],
-    # rank[x + step]), with ``end`` (-1 or the buffer's size) standing for
-    # the ranks past the buffer.  Ranks are below ``total``, so the pair
-    # packs into one int64 key below (total + 2)**2, built in place; a
-    # position's dense rank counts the changes of the sorted key before it.
-    # The product is taken in int64: the name table's int32 levels, times a
-    # scalar, stay int32 under numpy 1.x and would wrap.
+    # rank[x + step]), a rank past the buffer sorting first.  Ranks are below
+    # ``total``, so the pair packs into one int64 key below (total + 1)**2,
+    # built in place; a position's dense rank counts the changes of the
+    # sorted key before it.  The product is taken in int64: the name table's
+    # int32 levels, times a scalar, stay int32 under numpy 1.x and would wrap.
     total = rank.size
-    key = np.full(total, end + 1, dtype=np.int64)
+    key = np.zeros(total, dtype=np.int64)
     head = key[: max(total - step, 0)]
     head[:] = rank[step:]
     head += 1
-    key += np.multiply(rank, total + 2, dtype=np.int64)
-    value, index = _sort_with_index(key, (total + 2) ** 2)
+    key += np.multiply(rank, total + 1, dtype=np.int64)
+    value, index = _sort_with_index(key, (total + 1) ** 2)
     dense = np.empty(total, dtype=np.int64)
     dense[index[:1]] = 0
     dense[index[1:]] = np.cumsum(value[1:] != value[:-1])
@@ -222,7 +222,7 @@ def _name_levels(
         levels = [source.letters(size).astype(np.int32)]
     while len(levels) <= j:
         step = 1 << (len(levels) - 1)
-        levels.append(_merge(levels[-1], step, -1).astype(np.int32))
+        levels.append(_merge(levels[-1], step).astype(np.int32))
     source._names = (size, levels)
     return size, levels
 
@@ -311,9 +311,9 @@ def window_patterns(
     letters long, differ and order them.  Two shifts of a window that share
     a name raise ``HorizonExhausted``: a depth too small gives no order.  A
     window past the last letter raises ``_out_of_letters``, and so does one
-    whose order the word's end decides: names cut at the end sort a shorter
-    factor first, so the windows whose names reach past the last letter are
-    ranked again with the end sorted last, and must keep their order.
+    whose order the end decides: a name the end cuts, ``w[p:end]``, sorts
+    first among the shifts it begins, so a finished row is checked for a
+    shift p followed by one that ``w[p:end]`` begins.
 
     Each row is two in-place sorts of packed keys, ``value << shift |
     column`` with n <= 2**shift: sorting the names' keys puts each shift's
@@ -338,8 +338,6 @@ def window_patterns(
     key_type = np.int32 if size << shift <= np.iinfo(np.int32).max else np.int64
     column = np.arange(n, dtype=key_type)
     patterns = np.empty((starts.size, n), dtype=np.min_scalar_type(n))
-    late = np.flatnonzero(starts + (n - 1 + (1 << j)) > end)
-    late_order = np.empty((late.size, n), dtype=key_type)
     step = max(_BLOCK_CELLS // max(n, 1), 1)
     for lo in range(0, starts.size, step):
         key = windows[starts[lo : lo + step]].astype(key_type, copy=False)
@@ -353,24 +351,22 @@ def window_patterns(
                 f"agree on {1 << j} letters, past the depth {depth}"
             )
         key &= low
-        # The column of each rank: the order the late check compares.
-        a, b = np.searchsorted(late, [lo, lo + step])
-        late_order[a:b] = key[late[a:b] - lo]
         key <<= shift
         key |= column
         key.sort(axis=1)
         key &= low
         key += 1
         patterns[lo : lo + step] = key
-    if late.size:
-        # The shifts from the first late start on, ranked over 2**j letters
-        # with the letters past the end sorted last.
-        first = int(starts[late].min())
-        rank = source.letters(end)[first:].astype(np.int64)
-        for i in range(j):
-            rank = _merge(rank, 1 << i, rank.size)
-        last = np.lib.stride_tricks.sliding_window_view(rank, n)[starts[late] - first]
-        if not np.array_equal(late_order, np.argsort(last, axis=1)):
+    # The shifts of the windows the end reaches, in each row's order; only a
+    # q < p has the letters to begin with w[p:end].
+    late = np.flatnonzero(starts + (n - 1 + (1 << j)) > end)
+    shifts = starts[late, None] + np.argsort(patterns[late], axis=1)
+    p, q = shifts[:, :-1], shifts[:, 1:]
+    cut = (p + (1 << j) > end) & (q < p)
+    if cut.any():
+        w = source.letters(end)
+        pairs = zip(p[cut].tolist(), q[cut].tolist())
+        if any(np.array_equal(w[a:end], w[b : b + end - a]) for a, b in pairs):
             raise _out_of_letters(
                 source, f"two shifts of a length-{n} window of "
                 f"{source.spec_string()} agree until the last letter"

@@ -277,12 +277,10 @@ def test_audit_ranks_each_doubled_window_once(monkeypatch, map_name):
     # ones by the transfer path.
     monkeypatch.setattr(perms, "window_patterns", counting)
     monkeypatch.setattr(doubling, "window_patterns", counting)
-    lead, trail = MAPS[map_name]
     audit_map(tm, map_name, 9)
-    # The base windows (k = 2), the doubled windows the formula is checked
-    # against, and the trimmed doubled windows of a trimmed map.
-    trimmed = [18 - lead - trail] if lead or trail else []
-    assert lengths == [11, 18, *trimmed]
+    # The base windows (k = 2) and the doubled windows the formula is checked
+    # against; a trimmed map restricts the doubled rows and ranks nothing.
+    assert lengths == [11, 18]
     # Each sort gets one row per distinct base factor w[a, a+L) of the scan,
     # L = n + k + H(n + k) fixing both the base window and the doubled one.
     span = 11 + separation_depth(tm, 11, DEFAULT_SCAN_WINDOW + 10)
@@ -290,13 +288,14 @@ def test_audit_ranks_each_doubled_window_once(monkeypatch, map_name):
     factors = len({text[a : a + span] for a in range(DEFAULT_SCAN_WINDOW)})
     assert rows == [factors] * len(lengths)
     assert factors < DEFAULT_SCAN_WINDOW // 10
-    # Another map at the same (n, scan) reuses the source's last scan and
-    # sorts only its own trimmed windows.
+    # Another map at the same (n, scan), and the formula check, reuse the
+    # source's last scan and sort nothing.
     other = "delta-m" if map_name != "delta-m" else "delta-l"
-    lead, trail = MAPS[other]
     del lengths[:]
     audit_map(tm, other, 9)
-    assert lengths == [18 - lead - trail]
+    assert lengths == []
+    assert verify_image_formulas(tm, 9, DEFAULT_SCAN_WINDOW).ok
+    assert lengths == []
 
 
 def _longest_run(w: str, letter: str) -> int:

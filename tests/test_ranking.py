@@ -22,6 +22,7 @@ from permlex import (
     window_patterns,
 )
 from permlex import ranking
+from permlex.perms import restrict_rows
 from permlex.ranking import prefix_names, separation_depth
 
 from bruteforce import (
@@ -306,6 +307,97 @@ def test_window_patterns_rows_are_narrow(n, dtype):
         assert tuple(row) == naive_subperm(text, a, n)
 
 
+#: Infinite words and their doublings; explicit words are drawn as text.
+_RESTRICTED_WORDS = {
+    "tm": thue_morse_source,
+    "fib": fibonacci_source,
+    "double(tm)": lambda: double(thue_morse_source()),
+    "double(fib)": lambda: double(fibonacci_source()),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    word=st.one_of(
+        st.sampled_from(sorted(_RESTRICTED_WORDS)), st.text("01", min_size=2, max_size=40)
+    ),
+    starts=st.lists(st.integers(0, 80), min_size=1, max_size=8),
+    n=st.integers(2, 20),
+    depth=st.integers(0, 40),
+    lead=st.integers(0, 1),
+    trail=st.integers(0, 1),
+)
+# Names of the window [4, 10) of thue-morse's first 16 letters run past
+# its end, and do not decide its order.
+@example(word=naive_thue_morse(16), starts=[4], n=6, depth=5, lead=1, trail=1)
+@example(word="double(tm)", starts=[0, 3, 77], n=20, depth=15, lead=1, trail=0)
+def test_sub_windows_rank_as_the_window_restricted(word, starts, n, depth, lead, trail):
+    # A trimmed window is a sub-window, so when a window has a pattern, each
+    # sub-window's pattern is its restriction, as the transfer maps take it.
+    if word in _RESTRICTED_WORDS:
+        build, top = _RESTRICTED_WORDS[word], 81
+    else:
+        n = min(n, len(word))
+        build, top = (lambda: explicit_source(word)), len(word) - n + 1
+    starts = np.array(starts) % top
+    rows = _outcome(lambda: window_patterns(build(), starts, n, depth))
+    if isinstance(rows, type):
+        return
+    sub = window_patterns(build(), starts + lead, n - lead - trail, depth)
+    assert np.array_equal(sub, restrict_rows(rows, lead, trail))
+
+
+def _tails_outcome(text, starts, n, depth):
+    # The string oracle of ``window_patterns`` on the finite word ``text``:
+    # each shift's next 2**j letters, j = depth.bit_length(), cut at the
+    # end.  Two equal ones tie; one that begins its sorted neighbour is
+    # ordered only by the end.
+    span = 1 << depth.bit_length()
+    windows = [
+        sorted((text[p : p + span], p - a) for p in range(a, a + n)) for a in starts
+    ]
+    pairs = [(x, y) for w in windows for (x, _), (y, _) in zip(w, w[1:])]
+    if any(x == y for x, y in pairs):
+        return HorizonExhausted
+    if any(y.startswith(x) for x, y in pairs):
+        return PrefixTooShort
+    rows = np.zeros((len(starts), n), dtype=np.int64)
+    for row, w in zip(rows, windows):
+        row[[column for _, column in w]] = np.arange(1, n + 1)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.text("01", min_size=1, max_size=40),
+    n=st.integers(1, 12),
+    depth=st.integers(0, 48),
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.sampled_from([1, 5, 40]),
+)
+@example(text=naive_thue_morse(64), n=4, depth=3, seed=0, cells=1)
+@example(text="0101", n=3, depth=1, seed=0, cells=1)
+# Few of the windows the end reaches are ordered by it, so each must be
+# checked on its own row.
+@example(text="0010010110100111001001011001011", n=5, depth=9, seed=1, cells=5)
+def test_window_patterns_of_every_start_against_sorted_tails(text, n, depth, seed, cells):
+    # Every start of a finite word, shuffled and split over blocks, then
+    # fewer of them: the windows the end orders are found wherever their
+    # rows fall among the others.
+    n = min(n, len(text))
+    rng = np.random.default_rng(seed)
+    every = rng.permutation(len(text) - n + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranking, "_BLOCK_CELLS", cells)
+        for starts in (every, every[: rng.integers(1, every.size + 1)]):
+            got = _outcome(lambda: window_patterns(explicit_source(text), starts, n, depth))
+            want = _tails_outcome(text, starts.tolist(), n, depth)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert np.array_equal(got, want)
+
+
 def test_sturmian_60_1_counts_from_letters():
     # Far-apart shifts of sturmian:60,1 agree on more letters than any
     # lookahead limit allows; no window holds them, so no count needs them.
@@ -448,13 +540,12 @@ def test_sort_with_index_of_wide_keys():
 @pytest.mark.parametrize(
     "size, step", [(0, 1), (1, 1), (89, 1), (89, 8), (300, 64), (7, 7), (7, 20)]
 )
-@pytest.mark.parametrize("end_at_size", [False, True])
-def test_merge_matches_a_numpy_unique_reference(dtype, size, step, end_at_size):
+def test_merge_matches_a_numpy_unique_reference(dtype, size, step):
+    # A rank past the buffer stands below every other.
     rng = np.random.default_rng(size + step)
     rank = rng.integers(0, max(size // 3, 1), size).astype(dtype)
-    end = size if end_at_size else -1
-    shifted = np.full(size, end, dtype=np.int64)
+    shifted = np.full(size, -1, dtype=np.int64)
     shifted[: max(size - step, 0)] = rank[step:]
     key = rank.astype(np.int64) * (size + 2) + shifted + 1
     want = np.unique(key, return_inverse=True)[1].ravel()
-    assert np.array_equal(ranking._merge(rank, step, end), want)
+    assert np.array_equal(ranking._merge(rank, step), want)
