@@ -208,8 +208,7 @@ def cmd_audit(args) -> int:
     report = audit_map(source, args.map, args.n, scan, horizon)
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
     structurally_sound = (
-        report.surjective
-        and report.left_restriction_faithful
+        report.left_restriction_faithful
         and report.right_restriction_faithful
         and report.no_type1_image_pairs
         and report.gap_violations == 0

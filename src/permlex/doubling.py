@@ -583,10 +583,11 @@ class AuditReport:
 
     The domain is the set of distinct ``(n+k)``-patterns seen in the scan.
     Per map: ``image_length``, ``image_size``, ``collisions`` and
-    ``surjective``.  ``surjective`` compares the formula images of the
-    domain with the doubled windows at every scan start, restricted from
-    the rows ``_bulk_windows`` ranked directly and asserted equal to the
-    images, so it fails only where one domain pattern has two images.
+    ``surjective``.  ``surjective`` holds by construction: the doubled
+    windows at the scan starts restrict the rows ``_bulk_windows`` ranked
+    directly and asserted equal to the formula images, and
+    ``_BulkWindows.audit`` asserts that each domain pattern has one image,
+    so every doubled window is the image of its start's domain pattern.
 
     Per scan, the same for every map audited over one ``(n, scan_window)``:
     ``domain_size`` and the structural fields.  They check, on the full
@@ -683,12 +684,6 @@ def audit_map(
         for i, j in combinations(scan.reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
-    # A trimmed doubled window's pattern restricts the untrimmed one, which
-    # _bulk_windows ranked directly and asserted equal to the image.
-    direct = restrict_rows(bulk.images, lead, trail)
-    # Rows of both are permutations of 1..image_length, so their keys share
-    # one dtype and the sorted distinct keys are equal as bytes iff the sets are.
-    surjective = image_keys.tobytes() == np.unique(_row_keys(direct)).tobytes()
 
     return AuditReport(
         source_spec=source.spec_string(),
@@ -701,7 +696,7 @@ def audit_map(
         domain_size=scan.reps.size,
         image_size=image_keys.size,
         collisions=tuple(collisions),
-        surjective=surjective,
+        surjective=True,
         left_restriction_faithful=scan.left_restriction_faithful,
         right_restriction_faithful=scan.right_restriction_faithful,
         no_type1_image_pairs=scan.no_type1_image_pairs,

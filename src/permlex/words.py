@@ -349,6 +349,11 @@ def _run_starts(w: np.ndarray, lo: int) -> np.ndarray:
     return np.flatnonzero(w[lo:] != w[lo - 1 : -1]) + lo
 
 
+#: Letters ``_RunScan.extend`` reads at a time, so each of its temporaries
+#: stays near 128 KB (int64 positions) however long the scanned prefix grows.
+_SCAN_CHUNK = 1 << 14
+
+
 class _RunScan:
     """Run statistics of a source's prefix, grown as ``run_bounds`` inspects
     longer prefixes.
@@ -358,6 +363,11 @@ class _RunScan:
     start of the last run seen (its end is not known yet), and per letter
     the records ``(end, maximum)`` at which the running maximum of completed
     interior runs grows, ``end`` being the start of the next run.
+
+    Fresh letters are read in chunks of ``_SCAN_CHUNK``, so the scan's memory
+    is bounded by the chunk, not by the prefix.  Runs alternate letters, so a
+    chunk's run lengths, one ``np.diff`` of its run starts, split into each
+    letter's runs as the even and odd entries, with no gather by letter.
     """
 
     def __init__(self) -> None:
@@ -369,25 +379,30 @@ class _RunScan:
 
     def extend(self, w: np.ndarray) -> None:
         """Scan the letters of ``w`` past ``scanned``."""
-        fresh = _run_starts(w, max(self.scanned, 1))
+        for lo in range(max(self.scanned, 1), w.size, _SCAN_CHUNK):
+            fresh = _run_starts(w[: lo + _SCAN_CHUNK], lo)
+            if fresh.size:
+                self._add_runs(w, fresh)
         self.scanned = w.size
-        if not fresh.size:
-            return
+
+    def _add_runs(self, w: np.ndarray, fresh: np.ndarray) -> None:
+        """Record the runs that the run starts ``fresh`` complete."""
         self.first_starts += fresh[: 3 - len(self.first_starts)].tolist()
+        letter = int(w[self.last_start])
         bounds = np.concatenate([[self.last_start], fresh])
+        if self.last_start == 0:  # the first run is never interior
+            bounds, letter = fresh, 1 - letter
         self.last_start = int(fresh[-1])
-        starts, ends = bounds[:-1], bounds[1:]
-        if starts[0] == 0:  # the first run is never interior
-            starts, ends = starts[1:], ends[1:]
-        lengths, letters_at = ends - starts, w[starts]
-        for letter in (0, 1):
-            pick = letters_at == letter
-            record_ends, maxima = self.record_ends[letter], self.record_maxima[letter]
-            running = np.maximum.accumulate(
-                np.concatenate([[maxima[-1] if maxima else 0], lengths[pick]])
-            )
+        lengths, ends = np.diff(bounds), bounds[1:]
+        for parity in (0, 1):
+            runs, mine = lengths[parity::2], letter ^ parity
+            maxima = self.record_maxima[mine]
+            best = maxima[-1] if maxima else 0
+            if not runs.size or runs.max() <= best:
+                continue
+            running = np.maximum.accumulate(np.concatenate([[best], runs]))
             grows = np.diff(running) > 0
-            record_ends.extend(ends[pick][grows].tolist())
+            self.record_ends[mine].extend(ends[parity::2][grows].tolist())
             maxima.extend(running[1:][grows].tolist())
 
     def interior_max(self, letter: int, eff: int) -> int:

@@ -5,6 +5,7 @@ pattern and run-class tallies alone; every test here checks that against the
 doubled word itself, where the same object can be read off directly.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -640,6 +641,26 @@ def test_kept_bulk_scan_is_read_only(tm):
     assert doubling._bulk_windows(tm, 5, 64) is bulk
     with pytest.raises(ValueError):
         bulk.images[0, 0] = 0
+
+
+def test_scan_audit_rejects_a_domain_pattern_with_two_images(tm):
+    # AuditReport.surjective is True by construction: it rests on this
+    # assertion that each domain pattern has one image.
+    bulk = doubling._bulk_windows(tm, 8, 64)
+    rows_of = {}
+    for i, row in enumerate(bulk.base_patterns.tolist()):
+        rows_of.setdefault(tuple(row), []).append(i)
+    i, j = next(rows for rows in rows_of.values() if len(rows) > 1)[:2]
+    other = next(
+        r
+        for r in range(len(bulk.images))
+        if not np.array_equal(bulk.images[r], bulk.images[i])
+    )
+    forged = bulk.images.copy()
+    forged[j] = bulk.images[other]
+    assert audit_map(tm, "delta", 8, 64).surjective
+    with pytest.raises(AssertionError, match="one domain pattern produced two"):
+        dataclasses.replace(bulk, images=forged).audit
 
 
 @pytest.mark.parametrize("spec,n", [("thue-morse", 8), ("thue-morse", 16), ("fibonacci", 12)])

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,62 @@ def test_run_bounds_scans_each_letter_once(monkeypatch):
     scanned.sort()
     assert all(hi <= lo for (_, hi), (lo, _) in zip(scanned, scanned[1:]))
     assert sum(hi - lo for lo, hi in scanned) <= max(lengths)
+
+
+def _scan_state(source):
+    scan = source._run_scan
+    return (
+        scan.scanned,
+        scan.first_starts,
+        scan.last_start,
+        scan.record_ends,
+        scan.record_maxima,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 2, 3, 64]),
+    spec=st.one_of(st.sampled_from(RUN_SPECS), EXPLICIT_WORDS),
+    lengths=st.lists(
+        st.one_of(st.integers(0, 90), st.integers(0, 1 << 11)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(chunk=1, spec=LATE_RUN_WORD, lengths=[20, 104])
+@example(chunk=2, spec="explicit:01001100", lengths=[8, 6])
+def test_run_bounds_exact_across_scan_chunks(chunk, spec, lengths):
+    # Runs that straddle chunk boundaries, one run per chunk, and chunks
+    # that hold no run start give exact bounds, and leave the state that one
+    # call scanning the longest prefix in a single chunk leaves.
+    chunked = parse_word_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "_SCAN_CHUNK", chunk)
+        for n in lengths:
+            fresh = parse_word_spec(spec)
+            assert _outcome(lambda: run_bounds(chunked, n)) == _outcome(
+                lambda: _naive_run_bounds(fresh, n)
+            )
+    whole = parse_word_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "_SCAN_CHUNK", 1 << 30)
+        _outcome(lambda: run_bounds(whole, max(lengths)))
+    assert _scan_state(chunked) == _scan_state(whole)
+
+
+def test_run_bounds_memory_does_not_grow_with_the_prefix():
+    # The scan reads fresh letters a chunk at a time, so certifying bounds
+    # over 2**22 letters allocates far less than one int64 per letter.
+    source = thue_morse_source()
+    source.letters(1 << 22)
+    tracemalloc.start()
+    try:
+        run_bounds(source, 1 << 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 # -- factors and recurrence -----------------------------------------------------
