@@ -19,13 +19,13 @@ import json
 import os
 import sys
 
-from .doubling import MAP_NAMES, audit_map, delta
+from .doubling import MAP_NAMES, _doubled_view, audit_map, delta
 from .errors import PermlexError
 from .formulas import formula_for
 from .perms import DEFAULT_SCAN_WINDOW, format_perm, perm_set, subpermutation
 from .ranking import DEFAULT_MAX_HORIZON
 from .suites import SUITES, run_suite
-from .words import double, parse_word_spec
+from .words import parse_word_spec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,7 +181,7 @@ def cmd_delta(args) -> int:
     source = parse_word_spec(args.word)
     horizon = _resolve_horizon(args)
     result = delta(source, args.start, args.count, max_horizon=horizon)
-    doubled = double(source)
+    doubled = _doubled_view(source)  # its hard limit is twice the source's
     direct = subpermutation(
         doubled, 2 * args.start, 2 * args.count, max_horizon=2 * horizon
     )

@@ -49,7 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ClassMissing, DomainError, PrefixTooShort, Unsaturated
+from .errors import ClassMissing, DomainError, Unsaturated
 from .pairs import complementary_pair
 from .perms import (
     DEFAULT_SCAN_WINDOW,
@@ -103,15 +103,8 @@ def _class_indices(
     """Run class of the letter at each offset in ``at`` (an array of any
     shape) of ``letters``.
 
-    Needs ``max(k0, k1)`` letters of lookahead past the largest offset.
+    Needs ``max(k0, k1)`` letters past the largest offset, as ``_window_rows`` reads.
     """
-    last = int(at.max())
-    need = last + 1 + max(k0, k1)
-    if letters.size < need:
-        raise PrefixTooShort(
-            f"classifying offsets through {last} needs {need} letters, "
-            f"got {letters.size}"
-        )
     # Run ends: every letter change, then the end of the buffer, which lies
     # past every classified offset.
     ends = np.append(np.flatnonzero(letters[:-1] != letters[1:]) + 1, letters.size)

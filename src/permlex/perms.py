@@ -10,8 +10,8 @@ sorts the shifts of one window by their next letters as byte strings
 (``ranking.shift_ranks``), and again past the agreement of tied shifts.  The
 bulk path, ``_pattern_rows``, sorts one window per distinct factor of
 length n+H (H the separation depth over the scan, measured from letters by
-``ranking.separation_depth``; factors keyed by the integer names of
-``ranking.prefix_names``), ordering each window's shifts by their names
+``ranking.separation_depth``; starts grouped by factor with
+``ranking._factor_groups``), ordering each window's shifts by their names
 2**j >= H+1 letters long (``ranking.window_patterns``), so it compares only
 shifts that share a window.  Both bulk callers share ``_pattern_rows``:
 enumeration (``perm_set``), each of whose saturation rounds is one call
@@ -40,9 +40,8 @@ from . import ranking
 from .ranking import (
     DEFAULT_MAX_HORIZON,
     _agreement_limit,
+    _factor_groups,
     _out_of_letters,
-    _sort_with_index,
-    prefix_names,
     separation_depth,
     window_patterns,
 )
@@ -290,7 +289,7 @@ def _pattern_rows(
 
     Returns ``(reps, weights, rows)``: the first start of each factor,
     ascending, how many starts share it, and its window's pattern.  Starts
-    are grouped by the keys of ``ranking.prefix_names``; a start whose
+    are grouped by factor with ``ranking._factor_groups``; a start whose
     factor would run past the end of the word stands alone, with weight 1.
     """
     starts = np.arange(scan)
@@ -299,20 +298,11 @@ def _pattern_rows(
     depth = separation_depth(source, n, scan + n - 1, max_horizon)
     span = n + depth
     cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))
-    # One packed sort groups the keys, each group's indices ascending, so
-    # the index where the sorted key changes is the group's first start.
-    # ``prefix_names`` keys are below the square of the name table's size.
-    value, index = _sort_with_index(
-        prefix_names(source, starts[:cut], span), source._names[0] ** 2
-    )
-    change = np.empty(value.size, dtype=bool)
-    change[:1] = True
-    np.not_equal(value[1:], value[:-1], out=change[1:])
-    bounds = np.flatnonzero(change)
+    index, bounds = _factor_groups(source, starts[:cut], span)
     first = index[bounds]
-    counts = np.diff(bounds, append=value.size)
+    counts = np.diff(bounds, append=index.size)
     order = np.argsort(first)
-    reps = np.concatenate([starts[first[order]], starts[cut:]])
+    reps = np.concatenate([first[order], starts[cut:]])
     weights = np.concatenate([counts[order], np.ones(starts.size - cut, np.int64)])
     return reps, weights, window_patterns(source, reps, n, depth)
 

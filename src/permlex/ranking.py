@@ -11,8 +11,8 @@ another, no further letter can order them, so ``PrefixTooShort`` is raised.
 
 A prefix-doubling merge (``_merge``) packs each pair of ranks into one
 integer key, and each key's position into the key's low bits, and sorts the
-packed keys once in place (``_sort_with_index``).  The same sort groups a
-scan's starts by their factors in ``perms._pattern_rows``.
+packed keys once in place (``_sort_with_index``).  The same sort groups
+starts by their factors in ``_factor_groups``, the one factor-keying engine.
 
 ``separation_depth`` reads how far shifts less than n apart agree over a
 scan's shifts from letters alone, out of ``WordSource._agreement``.
@@ -36,11 +36,14 @@ of letters raises is ``_out_of_letters``.
 from __future__ import annotations
 
 from itertools import groupby
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, HorizonExhausted, LimitExceeded, PrefixTooShort
-from .words import WordSource
+
+if TYPE_CHECKING:  # words calls _factor_groups, so only annotations name it
+    from .words import WordSource
 
 #: Sets, with a comparison's reach, how far its shifts may agree on every
 #: path: up to the larger of 4 times this and 16 times the reach.
@@ -205,6 +208,23 @@ def prefix_names(
     # decides an order.
     tail = np.minimum(positions + (length - (1 << j)), size - 1)
     return head[positions].astype(np.int64) * np.int64(size) + head[tail]
+
+
+def _factor_groups(
+    source: WordSource, starts: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one factor-keying engine: ``(index, bounds)``, the ascending array
+    ``starts`` in the order of their ``length``-letter factors, ascending
+    within a factor, and the entries of ``index`` where each factor begins.
+    One packed sort of ``prefix_names`` keys, below the square of the name
+    table's size; the caller keeps each factor within ``max_available()``."""
+    value, index = _sort_with_index(
+        prefix_names(source, starts, length), source._names[0] ** 2
+    )
+    change = np.empty(value.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(value[1:], value[:-1], out=change[1:])
+    return starts[index], np.flatnonzero(change)
 
 
 def _name_levels(

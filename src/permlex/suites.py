@@ -24,7 +24,7 @@ from .formulas import (
     tm_tau,
 )
 from .perms import DEFAULT_SCAN_WINDOW, perm_set, perm_set_parity
-from .ranking import DEFAULT_MAX_HORIZON, prefix_names
+from .ranking import DEFAULT_MAX_HORIZON, _factor_groups
 from .words import (
     WordSource,
     double,
@@ -100,10 +100,8 @@ def _saturated_count(
 def _saturated_factor_count(source: WordSource, n: int, start_window: int) -> int:
     window, count = max(start_window, 2 * n), None
     while True:
-        # The length-n factors within the first ``window`` letters, as
-        # ``words.factors`` finds them, counted by their prefix names.
-        starts = np.arange(window - n + 1)
-        grown = int(np.unique(prefix_names(source, starts, n)).size)
+        # ``len(factors(source, n, window))``, counted without strings.
+        grown = _factor_groups(source, np.arange(window - n + 1), n)[1].size
         if grown == count:
             return count
         window, count = 2 * window, grown

@@ -11,6 +11,9 @@ deepest one, not to the number of requests.
 
 Letters are stored as int8 arrays (values 0 and 1); ``prefix_str`` renders the
 same data as a digit string for display and hashing.
+
+``factors`` and ``recurrence_bound`` group factor starts with
+``ranking._factor_groups``, the one factor-keying engine.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     Unsaturated,
     WordSpecError,
 )
+from .ranking import _factor_groups
 
 #: Hard ceiling on prefix length; requests beyond it raise LimitExceeded.
 DEFAULT_HARD_LIMIT = 1 << 24
@@ -475,8 +479,9 @@ def factors(
         raise PrefixTooShort(
             f"window of {eff} letters cannot contain a factor of length {n}"
         )
+    index, bounds = _factor_groups(source, np.arange(eff - n + 1), n)
     text = source.prefix_str(eff)
-    return {text[a : a + n] for a in range(eff - n + 1)}
+    return {text[a : a + n] for a in index[bounds].tolist()}
 
 
 def recurrence_bound(
@@ -495,21 +500,16 @@ def recurrence_bound(
     eff = _effective_window(source, window_len)
     if eff < 2 * k:
         raise PrefixTooShort(f"window of {eff} letters is too short for k={k}")
-    w = source.letters(eff).astype(np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(w, k)
-    # Each factor is keyed exactly by one int64 code per chunk of at most 62
-    # letters.  Factor starts grouped by factor, each group in position order.
-    weights = 1 << (61 - np.arange(k, dtype=np.int64) % 62)
-    codes = [windows[:, i : i + 62] @ weights[i : i + 62] for i in range(0, k, 62)]
-    order = np.lexsort(codes[::-1])
-    first = np.r_[True, np.any([np.diff(c[order]) != 0 for c in codes], axis=0)]
-    last = np.r_[first[1:], True]
-    if order[first].max() >= eff // 2 - k + 1:
+    # Factor starts grouped by factor, each group in position order.
+    index, bounds = _factor_groups(source, np.arange(eff - k + 1), k)
+    ends = np.append(bounds[1:], index.size)
+    first, last = index[bounds], index[ends - 1]
+    if first.max() >= eff // 2 - k + 1:
         raise Unsaturated(
             f"length-{k} factor set still growing at window {eff}; "
             "inspect a longer prefix"
         )
-    if (first & last).any():
+    if (ends - bounds == 1).any():
         raise Unsaturated(
             f"some length-{k} factor occurs only once in the first {eff} letters"
         )
@@ -517,11 +517,9 @@ def recurrence_bound(
     # consecutive positions.  It misses a factor only if it fits before the
     # factor's first occurrence, after its last, or between two consecutive
     # occurrences, so the smallest covering span is the largest such gap.
-    span = max(
-        order[first].max() + 1,
-        order.size - order[last].min(),
-        np.diff(order)[~first[1:]].max(),
-    )
+    # A step of ``index`` from one group to the next, a first start less a
+    # last one, is below the first term, so it never decides the largest.
+    span = max(first.max() + 1, index.size - last.min(), np.diff(index).max())
     return int(span) + k - 1
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from permlex import cli, parse_word_spec
 from permlex.cli import main
 
 from bruteforce import naive_fibonacci, naive_thue_morse
@@ -165,6 +166,19 @@ def test_delta_resolves_only_the_horizon(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "--scan-window" in err
+
+
+def test_delta_checks_windows_past_half_the_hard_limit(capsys, monkeypatch):
+    # The direct check ranks the doubled twin, whose hard limit is twice the
+    # source's, so a window past half the source's limit still checks.
+    monkeypatch.setattr(
+        cli, "parse_word_spec", lambda text: parse_word_spec(text, hard_limit=4096)
+    )
+    code, out, _ = run(
+        capsys, "delta", "--word", "thue-morse", "--start", "3000", "--count", "20"
+    )
+    assert code == 0
+    assert "verify      = MATCH" in out
 
 
 def test_delta_missing_class_is_a_domain_error(capsys):

@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -533,6 +534,108 @@ def test_recurrence_bound_saturation_guard():
     # Too short a window to pin the factor set down.
     with pytest.raises(Unsaturated):
         recurrence_bound(thue_morse_source(), 5, window_len=12)
+
+
+def _covers(w: str, k: int, span: int) -> bool:
+    # Whether every length-``span`` window of ``w`` holds every length-k
+    # factor of ``w``: slide the window, counting the factors it starts.
+    want = len(naive_factors(w, k))
+    inside = Counter(w[a : a + k] for a in range(span - k + 1))
+    for a in range(len(w) - span + 1):
+        if a:
+            gone = w[a - 1 : a - 1 + k]
+            inside[gone] -= 1
+            if not inside[gone]:
+                del inside[gone]
+            inside[w[a + span - k : a + span]] += 1
+        if len(inside) < want:
+            return False
+    return True
+
+
+def _string_recurrence(w: str, k: int):
+    # recurrence_bound over the inspected prefix ``w``, from strings alone:
+    # the least covering span by bisection (a window that covers, grown by
+    # a letter, still covers), or the class of the error its guards raise.
+    if len(w) < 2 * k:
+        return PrefixTooShort
+    seen = Counter(w[a : a + k] for a in range(len(w) - k + 1))
+    if naive_factors(w[: len(w) // 2], k) != set(seen) or 1 in seen.values():
+        return Unsaturated
+    lo, hi = k, len(w)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _covers(w, k, mid) else (mid + 1, hi)
+    return lo
+
+
+def _value_or_class(call):
+    try:
+        return call()
+    except PermlexError as exc:
+        return type(exc)
+
+
+#: Up to 2000 letters, drawn often near 2000 (hypothesis favours small
+#: integers), so that factors up to 130 letters long recur.
+FACTOR_WINDOWS = st.one_of(
+    st.integers(1, 2000), st.integers(0, 1700).map(lambda x: 2000 - x)
+)
+
+#: Finite words: any, and periodic ones long enough for long factors to recur.
+FACTOR_EXPLICIT_WORDS = st.one_of(
+    st.text("01", min_size=1, max_size=300),
+    st.builds(
+        lambda unit, size: (unit * size)[:size],
+        st.text("01", min_size=1, max_size=40),
+        FACTOR_WINDOWS,
+    ),
+)
+
+
+def _factor_word(word, wrap):
+    # A source and its letters from the plain string constructions: 2000 of
+    # an infinite word, all of a finite one.
+    kind, data = word
+    if kind == "morphic":
+        source, text = MorphicSource({0: data[0], 1: data[1]}), _iterate(data, 2000)
+    elif kind == "sturmian":
+        source, text = sturmian_characteristic(data), naive_sturmian(data, 2000)
+    else:
+        source, text = explicit_source(data), data
+    if wrap == "double":
+        return double(source), naive_double(text)
+    if wrap == "complement":
+        return complement(source), naive_complement(text)
+    return source, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    word=st.one_of(
+        FIXED_POINT_WORDS, FACTOR_EXPLICIT_WORDS.map(lambda t: ("explicit", t))
+    ),
+    wrap=st.sampled_from([None, "double", "complement"]),
+    k=st.integers(1, 130),
+    window=FACTOR_WINDOWS,
+)
+# Factors on both sides of 62 letters, the most one int64 code of letters holds.
+@example(word=("morphic", ((0, 1), (1, 0))), wrap=None, k=70, window=2000)
+@example(word=("sturmian", (1,)), wrap="double", k=63, window=2000)
+@example(word=("sturmian", (2, 1)), wrap="complement", k=62, window=1500)
+@example(word=("explicit", "0" * 64 + "1"), wrap="double", k=1, window=2000)
+@example(word=("explicit", "1" + "0" * 100), wrap=None, k=1, window=2000)
+@example(word=("explicit", ("0" * 61 + "1") * 30), wrap=None, k=125, window=2000)
+def test_factor_statistics_against_strings(word, wrap, k, window):
+    # factors and recurrence_bound, values and error classes, against the
+    # string sets of the inspected prefix.
+    source, text = _factor_word(word, wrap)
+    w = text[:window]
+    want = PrefixTooShort if len(w) < k else naive_factors(w, k)
+    assert _value_or_class(lambda: factors(source, k, window_len=window)) == want
+    assert _value_or_class(
+        lambda: recurrence_bound(source, k, window_len=window)
+    ) == _string_recurrence(w, k)
 
 
 # -- the word-spec grammar ------------------------------------------------------
