@@ -18,8 +18,11 @@ positions right.
 
 One routine (``_window_rows``) reads the letters, run classes and class
 sizes of any number of windows, and one (``_images``) evaluates the formula
-on them.  The scalar entry points call both on a single window
-(``class_profile``, ``delta`` and friends) or on two one-letter windows
+on them, both in whole-array steps: ``_class_indices`` numbers each
+letter's run once over the letters read, with one cumulative sum, and
+``_images`` gathers class sums and sizes through flat indices.  The scalar
+entry points call both on a single window (``class_profile``, ``delta`` and
+friends) or on two one-letter windows
 (``doubling_order_case``); ``_bulk_windows`` calls them on a scan and checks
 the images against the doubled windows ranked directly, once per scan.
 Everything a scan window feeds the formula and that ranking is a function of
@@ -38,6 +41,9 @@ over one scan, reuse the untrimmed build.  The audit checks that read only
 the untrimmed scan (the domain, the restrictions, type-1 pairs, class gaps)
 live on the kept scan as ``_BulkWindows.audit``, made on its first audit;
 each map's audit adds only its trim, its collisions and its surjectivity.
+The scan audit types no pair one at a time: a type-1 partner of an image is
+the image with its end entries swapped, so one distinct-row count decides the
+type-1 check, and ``complementary_pair`` types only the collisions.
 """
 
 from __future__ import annotations
@@ -105,10 +111,17 @@ def _class_indices(
 
     Needs ``max(k0, k1)`` letters past the largest offset, as ``_window_rows`` reads.
     """
-    # Run ends: every letter change, then the end of the buffer, which lies
-    # past every classified offset.
-    ends = np.append(np.flatnonzero(letters[:-1] != letters[1:]) + 1, letters.size)
-    run = ends[np.searchsorted(ends, at, side="right")] - at
+    # Mark the start of every run but the first, and the end of the buffer,
+    # which lies past every classified offset: the marks are the run ends.
+    # One in-place cumulative sum then numbers each letter's run.
+    size = letters.size
+    run_of = np.empty(size + 1, dtype=np.intp)
+    run_of[0] = 0
+    np.not_equal(letters[:-1], letters[1:], out=run_of[1:size])
+    run_of[size] = 1
+    ends = run_of.nonzero()[0]
+    run_of.cumsum(out=run_of)
+    run = ends[run_of[at]] - at
     head = letters[at]
     cap = np.where(head == 0, k0, k1)
     over = np.flatnonzero(run > cap)
@@ -173,9 +186,10 @@ def _images(
     ``(W, 2n)`` patterns of the doubled windows.  A row is a window, or the
     pair ``doubling_order_case`` orders, taken as a window with core (1, 2).
     """
-    rows = np.arange(core.shape[0])[:, None]
-    through = np.cumsum(gamma, axis=1)[rows, classes] + core
-    size = gamma[rows, classes]
+    # Flat indices into the (W, k0 + k1) class arrays, one per position.
+    at = classes + gamma.shape[1] * np.arange(core.shape[0])[:, None]
+    through = gamma.cumsum(axis=1).ravel()[at] + core
+    size = gamma.ravel()[at]
     # A letter 1 swaps the two copies: the even one moves up by the class size.
     swap = size * letters
     images = np.empty((core.shape[0], 2 * core.shape[1]), dtype=np.int64)
@@ -392,25 +406,33 @@ class _BulkWindows:
         """The checks of ``audit_map`` that read only this scan's untrimmed
         rows, made once for every map audited over it."""
         # First row, and so first start, of each distinct domain pattern.  The
-        # image must depend on the pattern alone; a trimmed image restricts
-        # the untrimmed one, so this covers every map.
-        reps = np.sort(np.unique(_row_keys(self.base_patterns), return_index=True)[1])
-        domain_images = np.hstack([self.base_patterns, self.images])
-        if len(_distinct_rows(domain_images)) != reps.size:
+        # image must depend on the pattern alone: every row's image is that of
+        # its pattern's first row.  A trimmed image restricts the untrimmed
+        # one, so this covers every map.
+        _, first, pattern_of = np.unique(
+            _row_keys(self.base_patterns), return_index=True, return_inverse=True
+        )
+        if not np.array_equal(self.images, self.images[first[pattern_of]]):
             raise AssertionError(
                 "one domain pattern produced two different images; this is a bug"
             )
+        reps = np.sort(first)
         reps.setflags(write=False)
 
         # Structural checks on the distinct full doubling images.
         full = _distinct_rows(self.images[reps])
         left_faithful = len(_distinct_rows(restrict_rows(full, 0, 1))) == len(full)
         right_faithful = len(_distinct_rows(restrict_rows(full, 1, 0))) == len(full)
-        no_type1 = not any(
-            complementary_pair(tuple(full[i].tolist()), tuple(full[j].tolist())) == 1
-            for group in _groups(full[:, :-1] > full[:, 1:])[1]
-            for i, j in combinations(group, 2)
-        )
+        # The type-1 partner of a permutation is itself with its end entries
+        # swapped, when those differ by one.  Past two entries the swap keeps
+        # the form, as no entry lies between the two; a two-entry row's
+        # partner has the other form, so it never makes a same-form pair.
+        # The swapped rows are distinct, so a repeat is a partner in ``full``.
+        adjacent_ends = np.abs(full[:, 0] - full[:, -1]) == 1
+        swaps = full[adjacent_ends & (full.shape[1] > 2)]
+        swaps[:, [0, -1]] = swaps[:, [-1, 0]]
+        with_swaps = np.vstack([full, swaps])
+        no_type1 = len(_distinct_rows(with_swaps)) == len(with_swaps)
 
         # Same-core windows whose final positions sit in different classes: the
         # classes must be adjacent and the last two image entries must differ.
@@ -587,7 +609,10 @@ class AuditReport:
     doubling images, that the left and right restrictions stay faithful,
     that no two images form a complementary pair of type 1, and that
     same-core windows whose final positions sit in different classes have
-    adjacent classes and gapped final image entries.
+    adjacent classes and gapped final image entries.  The type-1 partner of
+    an image is the image with its end entries swapped, when those differ by
+    one; the swap keeps the form of an image of three or more entries, and
+    gives a two-entry image the other form, so at ``n = 1`` no pair counts.
     ``class_complete_windows`` counts scan windows that meet every run class,
     one per start, not one per distinct factor.
     """
@@ -639,15 +664,16 @@ def _collision(bulk: _BulkWindows, i: int, j: int) -> CollisionRecord:
 def _groups(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The sorted distinct keys of the rows, and the ascending indices of the
     rows in each class of equal rows that has at least two members."""
-    keys, group_of, sizes = np.unique(
-        _row_keys(rows), return_inverse=True, return_counts=True
-    )
-    # A stable sort of the class numbers lays each class out in a run of
-    # ascending row indices, the runs in key order.
-    order = np.argsort(group_of, kind="stable")
-    ends = np.cumsum(sizes)
-    groups = [order[ends[g] - sizes[g] : ends[g]] for g in np.flatnonzero(sizes > 1)]
-    return keys, groups
+    keys = _row_keys(rows)
+    # A stable sort of the keys lays each class out in a run of ascending row
+    # indices, the runs in key order; a run starts where the key changes.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    change = np.ones(keys.size + 1, dtype=bool)
+    change[1:-1] = keys[1:] != keys[:-1]
+    bounds = np.flatnonzero(change).tolist()
+    groups = [order[a:b] for a, b in zip(bounds, bounds[1:]) if b - a > 1]
+    return keys[bounds[:-1]], groups
 
 
 def audit_map(

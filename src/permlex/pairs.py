@@ -75,7 +75,8 @@ def complementary_pair(p: Perm, q: Perm) -> int | None:
 
     Equal patterns are a degenerate pair of type 0.  For distinct patterns
     the largest admissible k is returned (it is in fact unique: ``q`` starts
-    with ``p``'s tail block, which pins k).
+    with ``p``'s tail block, which pins k).  So a k is tried only when
+    ``q[0]`` is the first entry of that block: one k for a permutation.
     """
     if len(p) != len(q):
         raise LengthMismatch(
@@ -85,8 +86,13 @@ def complementary_pair(p: Perm, q: Perm) -> int | None:
         raise DomainError("patterns must be nonempty")
     if p == q:
         return 0
-    for k in range(len(p) // 2, 0, -1):
-        if q == p[len(p) - k :] + p[k:-k] + p[:k] and _offset(p, k) is not None:
+    n = len(p)
+    for k in range(n // 2, 0, -1):
+        if (
+            p[n - k] == q[0]
+            and q == p[n - k :] + p[k:-k] + p[:k]
+            and _offset(p, k) is not None
+        ):
             return k
     return None
 

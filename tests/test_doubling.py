@@ -24,6 +24,7 @@ from permlex import (
     check_bounds,
     class_profile,
     compare_shifts,
+    complementary_pair,
     delta,
     delta_left,
     delta_middle,
@@ -93,6 +94,67 @@ def test_class_indices_reject_a_run_past_the_certified_bound(at):
     letters = np.array([1, 0, 1, 0, 0, 0, 1, 1, 0, 1], dtype=np.int8)
     with pytest.raises(DomainError, match=r"run of letter 0 at offset 3 exceeds"):
         doubling._class_indices(letters, 2, 2, at)
+
+
+def _searchsorted_class_indices(letters, k0, k1, at):
+    # The class read as first written: a binary search of every offset among
+    # the run ends.
+    ends = np.append(np.flatnonzero(letters[:-1] != letters[1:]) + 1, letters.size)
+    run = ends[np.searchsorted(ends, at, side="right")] - at
+    head = letters[at]
+    cap = np.where(head == 0, k0, k1)
+    over = np.flatnonzero(run > cap)
+    if over.size:
+        x = over[0]
+        raise DomainError(
+            f"run of letter {int(head.flat[x])} at offset {int(at.flat[x])} "
+            f"exceeds the certified bound ({k0}, {k1}); certify run bounds over "
+            "a longer prefix"
+        )
+    return np.where(head == 0, k0 - run, k0 + run - 1)
+
+
+@st.composite
+def class_reads(draw):
+    # A binary buffer, caps, and a 2-D array of offsets: random ones, or the
+    # windows [a, a+n) of _window_rows.  Either way the last offset may be
+    # forced into the buffer's last run.
+    size = draw(st.integers(min_value=1, max_value=120))
+    letters = np.array(
+        draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)), dtype=np.int8
+    )
+    k0, k1 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, min(8, size)))
+    if draw(st.booleans()):
+        cells = st.integers(0, size - 1)
+        at = np.array(draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols)))
+        at = at.reshape(rows, cols)
+    else:
+        starts = st.lists(st.integers(0, size - cols), min_size=rows, max_size=rows)
+        at = np.array(draw(starts))[:, None] + np.arange(cols)
+    if draw(st.booleans()):
+        ends = np.flatnonzero(letters[:-1] != letters[1:]) + 1
+        last_run_start = int(ends[-1]) if ends.size else 0
+        at[-1, -1] = draw(st.integers(last_run_start, size - 1))
+    return letters, k0, k1, at
+
+
+@given(class_reads())
+@example((np.array([0, 1, 1, 0, 0, 0], dtype=np.int8), 3, 2, np.array([[3, 4, 5]])))
+@example((np.array([1, 1, 1], dtype=np.int8), 2, 3, np.array([[0, 1], [2, 2]])))
+@example((np.array([0], dtype=np.int8), 1, 1, np.array([[0]])))
+def test_class_indices_match_a_binary_search_of_the_run_ends(read):
+    letters, k0, k1, at = read
+    try:
+        expected = _searchsorted_class_indices(letters, k0, k1, at)
+    except DomainError as error:
+        with pytest.raises(DomainError) as raised:
+            doubling._class_indices(letters, k0, k1, at)
+        assert str(raised.value) == str(error)
+    else:
+        got = doubling._class_indices(letters, k0, k1, at)
+        assert got.shape == at.shape
+        assert np.array_equal(got, expected)
 
 
 # -- the transfer on single windows ----------------------------------------------
@@ -661,6 +723,91 @@ def test_scan_audit_rejects_a_domain_pattern_with_two_images(tm):
     assert audit_map(tm, "delta", 8, 64).surjective
     with pytest.raises(AssertionError, match="one domain pattern produced two"):
         dataclasses.replace(bulk, images=forged).audit
+
+
+def test_scan_audit_finds_a_forged_type1_image_pair(tm):
+    # p and p with its end entries swapped form a complementary pair of type 1
+    # when those entries differ by one.  Forge them as the images of two
+    # domain patterns, every row of a pattern given the same image.
+    bulk = doubling._bulk_windows(tm, 8, 64)
+    assert bulk.audit.no_type1_image_pairs
+    pattern_of = np.unique(perms._row_keys(bulk.base_patterns), return_inverse=True)[1]
+    width = bulk.images.shape[1]
+    for p, paired in [
+        ((2, *range(3, width + 1), 1), True),  # ends 2 and 1
+        ((3, *range(4, width + 1), 2, 1), False),  # ends 3 and 1
+    ]:
+        q = (p[-1], *p[1:-1], p[0])
+        assert (complementary_pair(p, q) == 1) == paired
+        forged = bulk.images.copy()
+        forged[pattern_of == 0] = p
+        forged[pattern_of == 1] = q
+        audit = dataclasses.replace(bulk, images=forged).audit
+        assert audit.no_type1_image_pairs == (not paired)
+
+
+def _no_type1_by_pairs(bulk):
+    # The scan audit's type-1 check as first written: type every pair of
+    # distinct full images that share a form.
+    full = {tuple(row) for row in bulk.images[bulk.audit.reps].tolist()}
+    by_form = {}
+    for p in sorted(full):
+        by_form.setdefault(perms.form_of(p), []).append(p)
+    return not any(
+        complementary_pair(p, q) == 1
+        for group in by_form.values()
+        for i, p in enumerate(group)
+        for q in group[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("spec", ["thue-morse", "fibonacci", "sturmian:2"])
+def test_scan_audit_type1_check_matches_typing_every_same_form_pair(spec):
+    source = parse_word_spec(spec)
+    seen = set()
+    for n in range(1, 13):
+        bulk = doubling._bulk_windows(source, n, 256)
+        seen.add(bulk.audit.no_type1_image_pairs)
+        assert bulk.audit.no_type1_image_pairs == _no_type1_by_pairs(bulk)
+    if spec == "thue-morse":
+        # Thue-Morse has type-1 image pairs at n = 4.
+        assert seen == {True, False}
+
+
+def test_audit_of_two_letter_images(tm):
+    # The images (1, 2) and (2, 1) are each other with the end entries
+    # swapped, but their forms differ, so they are no same-form pair.
+    rep = audit_map(tm, "delta", 1)
+    assert rep.to_dict() == {
+        "source_spec": "thue-morse",
+        "map_name": "delta",
+        "half_length": 1,
+        "image_length": 2,
+        "k0": 2,
+        "k1": 2,
+        "scan_window": DEFAULT_SCAN_WINDOW,
+        "domain_size": 6,
+        "image_size": 2,
+        "collisions": [
+            dict(start_a=a, start_b=b, pair_type=t, equal_factors=True, equal_forms=f)
+            for a, b, t, f in [
+                (0, 3, 1, True),
+                (0, 5, None, False),
+                (1, 2, None, False),
+                (1, 11, None, False),
+                (2, 11, 1, True),
+                (3, 5, None, False),
+            ]
+        ],
+        "surjective": True,
+        "left_restriction_faithful": False,
+        "right_restriction_faithful": False,
+        "no_type1_image_pairs": True,
+        "gap_pairs_checked": 0,
+        "gap_violations": 0,
+        "class_complete_windows": 0,
+        "injective": False,
+    }
 
 
 @pytest.mark.parametrize("spec,n", [("thue-morse", 8), ("thue-morse", 16), ("fibonacci", 12)])

@@ -1,8 +1,10 @@
 """Type decompositions, complementary pairs, and same-form censuses."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from permlex import (
@@ -73,6 +75,60 @@ def test_complementary_pair_is_symmetric(p, q):
     if len(p) != len(q):
         return
     assert complementary_pair(p, q) == complementary_pair(q, p)
+
+
+def _quadratic_pair(p, q):
+    # complementary_pair as first written: build the closing of every k and
+    # compare it with q, then test the type-k offset rule.
+    if p == q:
+        return 0
+    n = len(p)
+    for k in range(n // 2, 0, -1):
+        if q == p[n - k :] + p[k:-k] + p[:k]:
+            offsets = {p[i] - p[n - k + i] for i in range(k)}
+            if len(offsets) == 1 and offsets <= {-1, 1}:
+                return k
+    return None
+
+
+def test_complementary_pair_matches_the_quadratic_loop_on_permutations():
+    for n in range(1, 7):
+        members = list(permutations(range(1, n + 1)))
+        mismatches = [
+            (p, q)
+            for p in members
+            for q in members
+            if complementary_pair(p, q) != _quadratic_pair(p, q)
+        ]
+        assert mismatches == []
+
+
+@st.composite
+def tuple_pairs(draw):
+    # Equal-length tuples over a few values, so entries repeat.  Half the
+    # draws close p's middle the other way round at some k, then perhaps
+    # change one entry, so most of those are pairs and some nearly are.
+    n = draw(st.integers(min_value=1, max_value=12))
+    entries = st.integers(min_value=0, max_value=draw(st.integers(1, 5)))
+    p = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+    if n < 2 or draw(st.booleans()):
+        return p, tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+    k = draw(st.integers(min_value=1, max_value=n // 2))
+    q = list(p[n - k :] + p[k:-k] + p[:k])
+    if draw(st.booleans()):
+        q[draw(st.integers(0, n - 1))] = draw(entries)
+    return p, tuple(q)
+
+
+@given(tuple_pairs())
+@example(((1, 2, 1, 2), (1, 2, 1, 2)))
+@example(((2, 1, 2, 1), (1, 1, 2, 2)))
+@example(((1, 1, 2, 1, 1), (1, 1, 2, 1, 1)))
+@example(((1, 2, 2, 1), (2, 1, 1, 2)))
+@example(((1, 1, 1, 2), (2, 1, 1, 1)))
+def test_complementary_pair_matches_the_quadratic_loop_with_repeats(pair):
+    p, q = pair
+    assert complementary_pair(p, q) == _quadratic_pair(p, q)
 
 
 # -- censuses over enumerated sets -------------------------------------------------
