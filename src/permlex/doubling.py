@@ -40,7 +40,7 @@ last result there, so the trimmed maps of one window, and every map audited
 over one scan, reuse the untrimmed build.  The audit checks that read only
 the untrimmed scan (the domain, the restrictions, type-1 pairs, class gaps)
 live on the kept scan as ``_BulkWindows.audit``, made on its first audit;
-each map's audit adds only its trim, its collisions and its surjectivity.
+each map's audit adds only its trim and its collisions.
 The scan audit types no pair one at a time: a type-1 partner of an image is
 the image with its end entries swapped, so one distinct-row count decides the
 type-1 check, and ``complementary_pair`` types only the collisions.
@@ -64,7 +64,7 @@ from .perms import (
     _distinct_rows,
     _pattern_rows,
     _restrict,
-    _row_keys,
+    _row_groups,
     compare_shifts,
     is_permutation,
     perm_set,
@@ -406,13 +406,13 @@ class _BulkWindows:
         """The checks of ``audit_map`` that read only this scan's untrimmed
         rows, made once for every map audited over it."""
         # First row, and so first start, of each distinct domain pattern.  The
-        # image must depend on the pattern alone: every row's image is that of
-        # its pattern's first row.  A trimmed image restricts the untrimmed
-        # one, so this covers every map.
-        _, first, pattern_of = np.unique(
-            _row_keys(self.base_patterns), return_index=True, return_inverse=True
-        )
-        if not np.array_equal(self.images, self.images[first[pattern_of]]):
+        # image must depend on the pattern alone: every row's image, in the
+        # grouped order, is that of its pattern's first row.  A trimmed image
+        # restricts the untrimmed one, so this covers every map.
+        index, bounds = _row_groups(self.base_patterns)
+        first = index[bounds[:-1]]
+        pattern_first = np.repeat(first, np.diff(bounds))
+        if not np.array_equal(self.images[index], self.images[pattern_first]):
             raise AssertionError(
                 "one domain pattern produced two different images; this is a bug"
             )
@@ -444,7 +444,7 @@ class _BulkWindows:
         tails = _distinct_rows(tails[self.class_complete])
         gap_checked = 0
         gap_violations = 0
-        for group in _groups(tails[:, :n])[1]:
+        for group in _multi_groups(*_row_groups(tails[:, :n])):
             for (c1, x1, y1), (c2, x2, y2) in combinations(tails[group, n:].tolist(), 2):
                 if c1 != c2:
                     gap_checked += 1
@@ -661,19 +661,10 @@ def _collision(bulk: _BulkWindows, i: int, j: int) -> CollisionRecord:
     )
 
 
-def _groups(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The sorted distinct keys of the rows, and the ascending indices of the
-    rows in each class of equal rows that has at least two members."""
-    keys = _row_keys(rows)
-    # A stable sort of the keys lays each class out in a run of ascending row
-    # indices, the runs in key order; a run starts where the key changes.
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    change = np.ones(keys.size + 1, dtype=bool)
-    change[1:-1] = keys[1:] != keys[:-1]
-    bounds = np.flatnonzero(change).tolist()
-    groups = [order[a:b] for a, b in zip(bounds, bounds[1:]) if b - a > 1]
-    return keys[bounds[:-1]], groups
+def _multi_groups(index: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """The groups of ``perms._row_groups`` that hold two rows or more."""
+    edges = bounds.tolist()
+    return [index[a:b] for a, b in zip(edges, edges[1:]) if b - a > 1]
 
 
 def audit_map(
@@ -696,10 +687,10 @@ def audit_map(
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
     scan = bulk.audit
     images = restrict_rows(bulk.images[scan.reps], lead, trail)
-    image_keys, groups = _groups(images)
+    index, bounds = _row_groups(images)
     collisions = [
         _collision(bulk, i, j)
-        for group in groups
+        for group in _multi_groups(index, bounds)
         for i, j in combinations(scan.reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
@@ -713,7 +704,7 @@ def audit_map(
         k1=bulk.bounds.k1,
         scan_window=scan_window,
         domain_size=scan.reps.size,
-        image_size=image_keys.size,
+        image_size=bounds.size - 1,
         collisions=tuple(collisions),
         surjective=True,
         left_restriction_faithful=scan.left_restriction_faithful,

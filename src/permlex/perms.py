@@ -299,8 +299,8 @@ def _pattern_rows(
     span = n + depth
     cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))
     index, bounds = _factor_groups(source, starts[:cut], span)
-    first = index[bounds]
-    counts = np.diff(bounds, append=index.size)
+    first = index[bounds[:-1]]
+    counts = np.diff(bounds)
     order = np.argsort(first)
     reps = np.concatenate([first[order], starts[cut:]])
     weights = np.concatenate([counts[order], np.ones(starts.size - cut, np.int64)])
@@ -309,15 +309,23 @@ def _pattern_rows(
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     # One opaque key per row of a nonnegative (W, m) array, m >= 1, packed in
-    # the narrowest dtype that holds the largest entry: a 1-D np.unique of the
-    # keys sorts with memcmp, far cheaper than np.unique(axis=0).
+    # the narrowest dtype that holds the largest entry: a 1-D sort of the
+    # keys compares with memcmp, far cheaper than sorting the rows themselves.
     rows = np.ascontiguousarray(rows, dtype=np.min_scalar_type(rows.max(initial=0)))
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(index, bounds)`` of ``ranking._factor_groups``, for equal rows."""
+    keys = _row_keys(rows)
+    index = np.argsort(keys, kind="stable")
+    return index, ranking._group_bounds(keys[index])
+
+
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, each at its first occurrence, in key order."""
-    return rows[np.unique(_row_keys(rows), return_index=True)[1]]
+    index, bounds = _row_groups(rows)
+    return rows[index[bounds[:-1]]]
 
 
 def _enumerate(
@@ -343,7 +351,8 @@ def _enumerate(
             reps, _, rows = _pattern_rows(source, n, 2 * window, parity, max_horizon)
         except (LimitExceeded, PrefixTooShort):
             break
-        first = np.unique(_row_keys(rows), return_index=True)[1]
+        index, bounds = _row_groups(rows)
+        first = index[bounds[:-1]]
         if reps[first].max() < window:
             # Windows past the scan, up to a finite word's end, may still
             # show a new pattern; a source cut by its hard limit goes on.

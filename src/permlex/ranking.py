@@ -215,16 +215,21 @@ def _factor_groups(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one factor-keying engine: ``(index, bounds)``, the ascending array
     ``starts`` in the order of their ``length``-letter factors, ascending
-    within a factor, and the entries of ``index`` where each factor begins.
-    One packed sort of ``prefix_names`` keys, below the square of the name
-    table's size; the caller keeps each factor within ``max_available()``."""
+    within a factor, and the ``_group_bounds`` of the sorted keys.  One packed
+    sort of ``prefix_names`` keys, below the square of the name table's size;
+    the caller keeps each factor within ``max_available()``."""
     value, index = _sort_with_index(
         prefix_names(source, starts, length), source._names[0] ** 2
     )
-    change = np.empty(value.size, dtype=bool)
-    change[:1] = True
-    np.not_equal(value[1:], value[:-1], out=change[1:])
-    return starts[index], np.flatnonzero(change)
+    return starts[index], _group_bounds(value)
+
+
+def _group_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal sorted ``keys`` begins, then ``keys.size``."""
+    # ``!=``: numpy has no np.not_equal(out=...) loop for void keys.
+    change = np.ones(keys.size + 1, dtype=bool)
+    change[1:-1] = keys[1:] != keys[:-1]
+    return np.flatnonzero(change)
 
 
 def _name_levels(

@@ -101,7 +101,7 @@ def _saturated_factor_count(source: WordSource, n: int, start_window: int) -> in
     window, count = max(start_window, 2 * n), None
     while True:
         # ``len(factors(source, n, window))``, counted without strings.
-        grown = _factor_groups(source, np.arange(window - n + 1), n)[1].size
+        grown = _factor_groups(source, np.arange(window - n + 1), n)[1].size - 1
         if grown == count:
             return count
         window, count = 2 * window, grown

@@ -481,7 +481,7 @@ def factors(
         )
     index, bounds = _factor_groups(source, np.arange(eff - n + 1), n)
     text = source.prefix_str(eff)
-    return {text[a : a + n] for a in index[bounds].tolist()}
+    return {text[a : a + n] for a in index[bounds[:-1]].tolist()}
 
 
 def recurrence_bound(
@@ -502,14 +502,13 @@ def recurrence_bound(
         raise PrefixTooShort(f"window of {eff} letters is too short for k={k}")
     # Factor starts grouped by factor, each group in position order.
     index, bounds = _factor_groups(source, np.arange(eff - k + 1), k)
-    ends = np.append(bounds[1:], index.size)
-    first, last = index[bounds], index[ends - 1]
+    first, last = index[bounds[:-1]], index[bounds[1:] - 1]
     if first.max() >= eff // 2 - k + 1:
         raise Unsaturated(
             f"length-{k} factor set still growing at window {eff}; "
             "inspect a longer prefix"
         )
-    if (ends - bounds == 1).any():
+    if (np.diff(bounds) == 1).any():
         raise Unsaturated(
             f"some length-{k} factor occurs only once in the first {eff} letters"
         )

@@ -31,12 +31,15 @@ from permlex import (
     delta_right,
     double,
     doubling_order_case,
+    factors,
     fibonacci_source,
     left_restrict_k,
     perm_set,
     perm_set_parity,
+    recurrence_bound,
     subpermutation,
     thue_morse_source,
+    tm_tau,
     verify_image_formulas,
 )
 from permlex import doubling, perms
@@ -304,7 +307,7 @@ def test_audit_image_size_matches_parity_enumeration(tm, dtm, map_name, n):
 @pytest.mark.parametrize("n", [8, 16])
 def test_transfer_reads_narrow_rows_as_wide_ones(monkeypatch, n):
     # The transfer path (restrict_rows, _images, _collision and the audit's
-    # _groups and _row_keys keys) gives on the narrow unsigned rows exactly
+    # _row_groups keys) gives on the narrow unsigned rows exactly
     # what it gives on the same rows widened to int64: no unsigned
     # subtraction wraps.  Thue-Morse collides at n = 8 and 16.
     def run():
@@ -556,19 +559,51 @@ def test_groups_match_a_dict_grouping(dtype, high, count, width, values):
     else:
         rows = rng.integers(0, values, size=(count, width))
     rows = rows.astype(dtype)
-    keys, groups = doubling._groups(rows)
+    index, bounds = perms._row_groups(rows)
     members = _brute_groups(rows)
-    assert keys.size == len(members)
-    assert keys.tobytes() == np.unique(perms._row_keys(rows)).tobytes()
+    assert sorted(index.tolist()) == list(range(count))
+    assert bounds[0] == 0 and bounds[-1] == index.size
+    assert (np.diff(bounds) > 0).all() and bounds.size - 1 == len(members)
+    groups = [index[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
     for group in groups:
-        assert group.tolist() == sorted(group.tolist())
-    assert sorted(group.tolist() for group in groups) == sorted(
-        indices for indices in members.values() if len(indices) > 1
-    )
+        assert group == sorted(group)
+    assert sorted(groups) == sorted(members.values())
+    # Groups follow key order, and the distinct rows are their first rows,
+    # as np.unique gives them.
+    keys = perms._row_keys(rows)
+    assert keys[index[bounds[:-1]]].tobytes() == np.unique(keys).tobytes()
+    distinct = perms._distinct_rows(rows)
+    want = rows[np.unique(keys, return_index=True)[1]]
+    assert distinct.dtype == want.dtype and np.array_equal(distinct, want)
     if values == 1:
-        assert [group.tolist() for group in groups] == [list(range(count))]
+        assert groups == [list(range(count))]
     if values is None:
-        assert keys.size == count and groups == []
+        assert bounds.size - 1 == count
+
+
+def test_pattern_and_factor_grouping_never_calls_np_unique(monkeypatch):
+    # Every row dedupe and grouping, and every factor grouping, is one of
+    # perms._row_groups and ranking._factor_groups.  Fresh sources, so no
+    # cached result stands in for the work.
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    tm, fib = thue_morse_source(), fibonacci_source()
+    saturated = perm_set(tm, 9)
+    assert saturated.saturated and saturated.count == tm_tau(9)
+    assert not perm_set(tm, 9, scan_window=64, saturate=False).saturated
+    finite = parse_word_spec("explicit:" + naive_thue_morse(64))
+    ps = perm_set(finite, 3, scan_window=4)
+    assert (ps.count, ps.scan_window, ps.saturated) == (6, 32, False)
+    assert perm_set_parity(double(tm), 8, "even").count > 0
+    for name in MAPS:
+        rep = audit_map(thue_morse_source(), name, 8, 512)
+        assert rep.collisions and rep.gap_violations == 0
+    assert verify_image_formulas(tm, 8, 512).ok
+    assert check_bounds(fib, 6).odd_ok
+    assert factors(fib, 5) == {naive_fibonacci(400)[a : a + 5] for a in range(396)}
+    assert recurrence_bound(fib, 3) > 3
 
 
 # -- complexity transfer bounds ---------------------------------------------------
