@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, scan=False, horizon=False):
         p.add_argument("--word", required=True, help="word spec, e.g. fibonacci, "
-                       "thue-morse, sturmian:2,1, explicit:0110, double(fibonacci)")
+                       "thue-morse, sturmian:2,1, morphic:01,00, explicit:0110, "
+                       "double(fibonacci)")
         p.add_argument("--output", help="write to this file instead of stdout")
         if scan:
             p.add_argument("--scan-window", type=int, default=None,

@@ -19,12 +19,15 @@ positions right.
 One routine (``_window_rows``) reads the letters, run classes and class
 sizes of any number of windows, and one (``_images``) evaluates the formula
 on them, both in whole-array steps: ``_class_indices`` numbers each
-letter's run once over the letters read, with one cumulative sum, and
-``_images`` gathers class sums and sizes through flat indices.  The scalar
-entry points call both on a single window (``class_profile``, ``delta`` and
-friends) or on two one-letter windows
-(``doubling_order_case``); ``_bulk_windows`` calls them on a scan and checks
-the images against the doubled windows ranked directly, once per scan.
+letter's run once over the letters read, with one cumulative sum, classes
+each buffer position once and gathers the classes at the offsets asked
+for, and ``_images`` gathers class sums and sizes through flat indices.
+The scalar entry points call both on a single window (``class_profile``,
+``delta`` and friends) or on two one-letter windows
+(``doubling_order_case``), and keep the formula's int64 images.
+``_bulk_windows`` calls them on a scan and checks the images against the
+doubled windows ranked directly, once per scan; it then keeps the ranked
+rows, uint8 or uint16, as the scan's images.
 Everything a scan window feeds the formula and that ranking is a function of
 a base factor starting at it, so ``_bulk_windows`` takes its base rows from
 ``perms._pattern_rows``, the routine enumeration uses: one row per distinct
@@ -39,8 +42,11 @@ source owns one slot for the last transfer window,
 last result there, so the trimmed maps of one window, and every map audited
 over one scan, reuse the untrimmed build.  The audit checks that read only
 the untrimmed scan (the domain, the restrictions, type-1 pairs, class gaps)
-live on the kept scan as ``_BulkWindows.audit``, made on its first audit;
-each map's audit adds only its trim and its collisions.
+live on the kept scan as ``_BulkWindows.audit``, made on its first audit.
+Each map's images of the domain are grouped once per kept scan
+(``_BulkWindows.map_groups``): the scan audit reads the groups of
+``delta``, ``delta-l`` and ``delta-r``, and each map's audit reads its own
+for its image size and its collisions.
 The scan audit types no pair one at a time: a type-1 partner of an image is
 the image with its end entries swapped, so one distinct-row count decides the
 type-1 check, and ``complementary_pair`` types only the collisions.
@@ -49,7 +55,7 @@ type-1 check, and ``complementary_pair`` types only the collisions.
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -121,18 +127,23 @@ def _class_indices(
     run_of[size] = 1
     ends = run_of.nonzero()[0]
     run_of.cumsum(out=run_of)
-    run = ends[run_of[at]] - at
-    head = letters[at]
-    cap = np.where(head == 0, k0, k1)
-    over = np.flatnonzero(run > cap)
-    if over.size:
-        x = over[0]
-        raise DomainError(
-            f"run of letter {int(head.flat[x])} at offset {int(at.flat[x])} "
-            f"exceeds the certified bound ({k0}, {k1}); certify run bounds over "
-            "a longer prefix"
-        )
-    return np.where(head == 0, k0 - run, k0 + run - 1)
+    # Each buffer position's run length and class, computed once and then
+    # gathered at ``at``.  A run over its letter's cap gives a class outside
+    # [0, k0 + k1): below 0 for zeros, past k0 + k1 - 1 for ones.
+    run = ends[run_of[:size]]
+    run -= np.arange(size)
+    class_of = np.where(letters, run + (k0 - 1), k0 - run)
+    over = class_of.view(np.uintp) >= k0 + k1
+    if over.any():
+        hits = np.flatnonzero(over[at])
+        if hits.size:
+            x = int(at.flat[hits[0]])
+            raise DomainError(
+                f"run of letter {int(letters[x])} at offset {x} "
+                f"exceeds the certified bound ({k0}, {k1}); certify run bounds "
+                "over a longer prefix"
+            )
+    return class_of[at]
 
 
 def _window_rows(
@@ -384,11 +395,14 @@ def doubling_order_case(
 @dataclass(frozen=True)
 class _BulkWindows:
     """Per-factor data for the starts of a scan: patterns, classes, and the
-    formula images, equal to the doubled windows ranked directly.
+    doubled windows, ranked directly and equal to the formula's images.
 
     Row i stands for the ``weights[i]`` scan starts that share the base
     factor of ``starts[i]``, their first; every per-window value below is a
-    function of that factor (see ``_bulk_windows``).
+    function of that factor (see ``_bulk_windows``).  ``images`` keeps the
+    ranked rows in the dtype ``ranking.window_patterns`` gives them (uint8
+    up to 2n = 255, uint16 above), so the audits group and restrict them
+    with no widening copy.
     """
 
     n: int
@@ -399,16 +413,19 @@ class _BulkWindows:
     core_patterns: np.ndarray   # (F, n)
     classes: np.ndarray         # (F, n)
     class_complete: np.ndarray  # (F,) every class inhabited
-    images: np.ndarray          # (F, 2n) via the class formula, checked directly
+    images: np.ndarray          # (F, 2n) ranked directly, equal to the formula's
+    # map name -> (rows, index, bounds) of ``map_groups``, filled on first read.
+    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def audit(self) -> _ScanAudit:
-        """The checks of ``audit_map`` that read only this scan's untrimmed
-        rows, made once for every map audited over it."""
-        # First row, and so first start, of each distinct domain pattern.  The
-        # image must depend on the pattern alone: every row's image, in the
-        # grouped order, is that of its pattern's first row.  A trimmed image
-        # restricts the untrimmed one, so this covers every map.
+    def reps(self) -> np.ndarray:
+        """First row, and so first start, of each distinct domain pattern,
+        ascending, read-only.
+
+        The image must depend on the pattern alone: every row's image, in the
+        grouped order, is asserted to be that of its pattern's first row.  A
+        trimmed image restricts the untrimmed one, so this covers every map.
+        """
         index, bounds = _row_groups(self.base_patterns)
         first = index[bounds[:-1]]
         pattern_first = np.repeat(first, np.diff(bounds))
@@ -418,17 +435,36 @@ class _BulkWindows:
             )
         reps = np.sort(first)
         reps.setflags(write=False)
+        return reps
 
-        # Structural checks on the distinct full doubling images.
-        full = _distinct_rows(self.images[reps])
-        left_faithful = len(_distinct_rows(restrict_rows(full, 0, 1))) == len(full)
-        right_faithful = len(_distinct_rows(restrict_rows(full, 1, 0))) == len(full)
+    def map_groups(self, map_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, index, bounds)``: the images of the domain under
+        ``map_name``, one row per ``reps`` entry, and their
+        ``perms._row_groups``.  Grouped once per scan and map; the scan audit
+        and every ``audit_map`` over this scan read the same grouping."""
+        if map_name not in self._groups:
+            rows = restrict_rows(self.images[self.reps], *MAPS[map_name])
+            self._groups[map_name] = (rows, *_row_groups(rows))
+        return self._groups[map_name]
+
+    @cached_property
+    def audit(self) -> _ScanAudit:
+        """The checks of ``audit_map`` that read only this scan's untrimmed
+        rows, made once for every map audited over it."""
+        # Structural checks on the distinct full doubling images.  Restriction
+        # maps images to images, so a restriction is faithful exactly when its
+        # map has as many distinct images as the full doubling.
+        images, index, bounds = self.map_groups("delta")
+        full = images[index[bounds[:-1]]]
+        left_faithful = self.map_groups("delta-l")[2].size == bounds.size
+        right_faithful = self.map_groups("delta-r")[2].size == bounds.size
         # The type-1 partner of a permutation is itself with its end entries
         # swapped, when those differ by one.  Past two entries the swap keeps
         # the form, as no entry lies between the two; a two-entry row's
         # partner has the other form, so it never makes a same-form pair.
         # The swapped rows are distinct, so a repeat is a partner in ``full``.
-        adjacent_ends = np.abs(full[:, 0] - full[:, -1]) == 1
+        # The rows are unsigned, so the end difference is taken in int64.
+        adjacent_ends = np.abs(full[:, 0].astype(np.int64) - full[:, -1]) == 1
         swaps = full[adjacent_ends & (full.shape[1] > 2)]
         swaps[:, [0, -1]] = swaps[:, [-1, 0]]
         with_swaps = np.vstack([full, swaps])
@@ -451,7 +487,7 @@ class _BulkWindows:
                     gap_violations += abs(c1 - c2) != 1 or x1 == x2 or y1 == y2
 
         return _ScanAudit(
-            reps=reps,
+            reps=self.reps,
             left_restriction_faithful=left_faithful,
             right_restriction_faithful=right_faithful,
             no_type1_image_pairs=no_type1,
@@ -498,8 +534,8 @@ def _bulk_windows(
     asserted equal to the image; a trimmed window's pattern restricts it.
 
     The source keeps the last scan, its arrays read-only, so every map
-    audited at the same ``(n, scan_window)`` reuses it and the audit checks
-    kept with it.
+    audited at the same ``(n, scan_window)`` reuses it, and the audit checks
+    and map groupings kept with it.
     """
     key = ("bulk", n, scan_window, max_horizon)
     if source._last_transfer[0] == key:
@@ -516,11 +552,13 @@ def _bulk_windows(
     depth = separation_depth(source, n, scan_window + n, max_horizon)
     core_patterns = restrict_rows(base_patterns, 0, k)
     window_letters, classes, gamma = _window_rows(source, bounds, starts, n)
-    images = _images(core_patterns, classes, gamma, window_letters)
-    doubled = window_patterns(
+    images = window_patterns(
         _doubled_view(source), 2 * starts, 2 * n, max(2 * depth + 1, 2 * k - 1)
     )
-    if not np.array_equal(images, doubled):
+    # The int64 formula values are compared with the narrow ranked rows, so
+    # a formula value out of the rows' range never wraps into agreement.
+    formula = _images(core_patterns, classes, gamma, window_letters)
+    if not np.array_equal(formula, images):
         raise AssertionError(
             "doubling image formula disagrees with directly ranked doubled "
             "windows; this is a bug"
@@ -606,8 +644,10 @@ class AuditReport:
 
     Per scan, the same for every map audited over one ``(n, scan_window)``:
     ``domain_size`` and the structural fields.  They check, on the full
-    doubling images, that the left and right restrictions stay faithful,
-    that no two images form a complementary pair of type 1, and that
+    doubling images, that the left and right restrictions stay faithful
+    (``delta-l`` and ``delta-r`` have as many distinct images as ``delta``:
+    a restriction maps images to images, so it is one-to-one on them exactly
+    then), that no two images form a complementary pair of type 1, and that
     same-core windows whose final positions sit in different classes have
     adjacent classes and gapped final image entries.  The type-1 partner of
     an image is the image with its end entries swapped, when those differ by
@@ -677,7 +717,8 @@ def audit_map(
     """Collision and surjectivity audit of one transfer map at half-length ``n``.
 
     The checks that read only the untrimmed scan are made on the scan's
-    first audit and kept with it (``_BulkWindows.audit``).
+    first audit and kept with it (``_BulkWindows.audit``); the map's images
+    and their groups are the scan's ``map_groups``, made once per map.
     """
     if map_name not in MAPS:
         raise DomainError(f"unknown map {map_name!r}; expected one of {MAP_NAMES}")
@@ -686,8 +727,7 @@ def audit_map(
         raise DomainError(f"map {map_name} has an empty image at half-length n={n}")
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
     scan = bulk.audit
-    images = restrict_rows(bulk.images[scan.reps], lead, trail)
-    index, bounds = _row_groups(images)
+    images, index, bounds = bulk.map_groups(map_name)
     collisions = [
         _collision(bulk, i, j)
         for group in _multi_groups(index, bounds)

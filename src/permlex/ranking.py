@@ -357,7 +357,10 @@ def window_patterns(
         )
     j = int(depth).bit_length()
     size, levels = _name_levels(source, reach - 1 + (1 << j), j)
-    windows = np.lib.stride_tricks.sliding_window_view(levels[j], n)
+    names = levels[j]
+    windows = np.lib.stride_tricks.as_strided(
+        names, (names.size - n + 1, n), (names.strides[0],) * 2, writeable=False
+    )
     shift = max(n - 1, 0).bit_length()
     low = (1 << shift) - 1
     key_type = np.int32 if size << shift <= np.iinfo(np.int32).max else np.int64
@@ -382,6 +385,8 @@ def window_patterns(
         key &= low
         key += 1
         patterns[lo : lo + step] = key
+    if reach - 1 + (1 << j) <= end:
+        return patterns
     # The shifts of the windows the end reaches, in each row's order; only a
     # q < p has the letters to begin with w[p:end].
     late = np.flatnonzero(starts + (n - 1 + (1 << j)) > end)

@@ -87,7 +87,7 @@ class WordSource:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        """Expression in the word-spec grammar (or a descriptive tag)."""
+        """Expression in the word-spec grammar, which ``parse_word_spec`` reads back."""
         raise NotImplementedError
 
     def max_available(self) -> int:
@@ -201,8 +201,8 @@ class MorphicSource(_FixedPointSource):
     def spec_string(self) -> str:
         if self.is_thue_morse():
             return "thue-morse"
-        images = ";".join(f"{a}>{''.join(map(str, self.rules[a]))}" for a in (0, 1))
-        return f"morphic[{images}|seed={self.seed}]"
+        images = ",".join("".join(map(str, self.rules[a])) for a in (0, 1))
+        return f"morphic:{images}" + ("@1" if self.seed else "")
 
 
 class SturmianSource(_FixedPointSource):
@@ -532,8 +532,13 @@ def parse_word_spec(text: str, hard_limit: int = DEFAULT_HARD_LIMIT) -> WordSour
 
         spec := fibonacci | thue-morse
               | sturmian:<d1>,<d2>,...
+              | morphic:<image of 0>,<image of 1>[@1]
               | explicit:<digits>
               | double(<spec>) | complement(<spec>)
+
+    ``morphic:`` names the fixed point of a binary morphism, prolongable at
+    0, or at 1 with the suffix ``@1``: ``morphic:01,00`` is period-doubling.
+    ``MorphicSource.spec_string`` prints this form, so it parses back.
     """
     s = text.strip()
     if s == "fibonacci":
@@ -546,6 +551,17 @@ def parse_word_spec(text: str, hard_limit: int = DEFAULT_HARD_LIMIT) -> WordSour
         if not body or any(not re.fullmatch(r"\d+", p) for p in parts):
             raise WordSpecError(f"bad directive list in {text!r}")
         return sturmian_characteristic(tuple(int(p) for p in parts), hard_limit)
+    if s.startswith("morphic:"):
+        body, suffix, seed = s[len("morphic:") :].partition("@")
+        images = [p.strip() for p in body.split(",")]
+        if (
+            len(images) != 2
+            or any(not re.fullmatch(r"[01]+", p) for p in images)
+            or (suffix and seed.strip() != "1")
+        ):
+            raise WordSpecError(f"bad morphism in {text!r}")
+        rules = {a: tuple(map(int, p)) for a, p in enumerate(images)}
+        return MorphicSource(rules, 1 if suffix else 0, hard_limit)
     if s.startswith("explicit:"):
         body = s[len("explicit:") :]
         if not re.fullmatch(r"[01]+", body):

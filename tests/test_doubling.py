@@ -327,6 +327,55 @@ def test_transfer_reads_narrow_rows_as_wide_ones(monkeypatch, n):
     assert run() == narrow
 
 
+def test_narrow_images_keep_the_formula_check(monkeypatch):
+    # The scan keeps the ranked uint8 rows, but compares the formula's int64
+    # values with them first: a value off by 256 agrees once cast to uint8,
+    # and must still fail the check.
+    formula = doubling._images
+
+    def off_by_256(*args):
+        images = formula(*args)
+        images[0, 0] += 256
+        return images
+
+    monkeypatch.setattr(doubling, "_images", off_by_256)
+    with pytest.raises(AssertionError, match="doubling image formula disagrees"):
+        doubling._bulk_windows(thue_morse_source(), 9, 256)
+
+
+@pytest.mark.parametrize("n,dtype", [(40, np.uint8), (130, np.uint16)])
+def test_kept_images_have_the_dtype_of_the_ranked_rows(n, dtype):
+    # The images are the doubled rows window_patterns ranks: 2n entries, in
+    # the narrowest unsigned dtype that holds 2n.
+    tm = thue_morse_source()
+    bulk = doubling._bulk_windows(tm, n, 256)
+    depth = separation_depth(tm, n, 256 + n)
+    ranked = doubling.window_patterns(
+        doubling._doubled_view(tm), 2 * bulk.starts[:1], 2 * n, 2 * depth + 1
+    )
+    assert bulk.images.dtype == ranked.dtype == dtype
+    assert bulk.images.shape[1] == 2 * n
+
+
+def test_each_map_groups_its_images_once_per_scan(monkeypatch):
+    # The scan audit reads the groups of delta, delta-l and delta-r, and each
+    # map's audit reads its own, all grouped once: the base patterns (width
+    # n + k = 11), the class-gap cores (width n = 9) and one grouping of each
+    # map's images (widths 18, 17, 17, 16), however often the maps are audited.
+    widths = []
+    group = doubling._row_groups
+
+    def counting(rows):
+        widths.append(rows.shape[1])
+        return group(rows)
+
+    monkeypatch.setattr(doubling, "_row_groups", counting)
+    tm = thue_morse_source()
+    for map_name in (*MAPS, *reversed(MAPS)):
+        audit_map(tm, map_name, 9, 256)
+    assert sorted(widths) == [9, 11, 16, 17, 17, 18]
+
+
 @pytest.mark.parametrize("map_name", list(MAPS))
 def test_audit_ranks_each_doubled_window_once(monkeypatch, map_name):
     # A fresh source: a shared one may already keep this scan's windows.

@@ -87,16 +87,14 @@ def _iterate(images, n):
     return word[:n]
 
 
+# The images of 0 and 1 of a binary morphism prolongable at 0.
+MORPHISMS = st.tuples(
+    st.lists(st.integers(0, 1), min_size=1, max_size=3).map(lambda tail: (0, *tail)),
+    st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+)
+
 FIXED_POINT_WORDS = st.one_of(
-    st.tuples(
-        st.just("morphic"),
-        st.tuples(
-            st.lists(st.integers(0, 1), min_size=1, max_size=3).map(
-                lambda tail: (0, *tail)
-            ),
-            st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
-        ),
-    ),
+    st.tuples(st.just("morphic"), MORPHISMS),
     st.tuples(
         st.just("sturmian"),
         st.lists(st.integers(1, 60), min_size=1, max_size=4).map(tuple),
@@ -651,6 +649,10 @@ def test_factor_statistics_against_strings(word, wrap, k, window):
         "explicit:0110100110010110",
         "double(thue-morse)",
         "complement(double(sturmian:1))",
+        "morphic:01,00",
+        "morphic:0010,1",
+        "morphic:11,10@1",
+        "double(morphic:011,100)",
     ],
 )
 def test_word_spec_round_trip(spec):
@@ -658,6 +660,23 @@ def test_word_spec_round_trip(spec):
     again = parse_word_spec(src.spec_string())
     probe = min(64, src.max_available())
     assert again.prefix_str(probe) == src.prefix_str(probe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(images=MORPHISMS, seed=st.integers(0, 1))
+@example(images=((0, 1), (1, 0)), seed=0)  # prints as thue-morse
+@example(images=((0, 1), (0, 0)), seed=1)  # period-doubling, complemented
+def test_morphic_spec_string_parses_back(images, seed):
+    # A seed-1 morphism is the complement of one prolongable at 0: it maps 1
+    # to the complement of the image of 0.
+    if seed:
+        flip = {0: 1, 1: 0}
+        images = tuple(tuple(flip[x] for x in images[1 - a]) for a in (0, 1))
+    src = MorphicSource({0: images[0], 1: images[1]}, seed)
+    spec = src.spec_string()
+    assert parse_word_spec(spec).prefix_str(2000) == src.prefix_str(2000)
+    again = parse_word_spec(f"complement(double({spec}))")
+    assert parse_word_spec(again.spec_string()).prefix_str(999) == again.prefix_str(999)
 
 
 def test_fibonacci_normalises_to_sturmian_one():
@@ -668,7 +687,9 @@ def test_fibonacci_normalises_to_sturmian_one():
 @pytest.mark.parametrize(
     "bad",
     ["", "tribonacci", "sturmian:", "sturmian:1,x", "explicit:",
-     "explicit:012", "double(", "double()", "complement(tribonacci)"],
+     "explicit:012", "double(", "double()", "complement(tribonacci)",
+     "morphic:", "morphic:01", "morphic:01,10,1", "morphic:01,2", "morphic:01,10@0",
+     "morphic:01,10@"],
 )
 def test_word_spec_rejects_garbage(bad):
     with pytest.raises(WordSpecError):
