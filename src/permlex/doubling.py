@@ -27,7 +27,7 @@ The scalar entry points call both on a single window (``class_profile``,
 (``doubling_order_case``), and keep the formula's int64 images.
 ``_bulk_windows`` calls them on a scan and checks the images against the
 doubled windows ranked directly, once per scan; it then keeps the ranked
-rows, uint8 or uint16, as the scan's images.
+rows, uint8 or uint16, as the scan's images, with one class column.
 Everything a scan window feeds the formula and that ranking is a function of
 a base factor starting at it, so ``_bulk_windows`` takes its base rows from
 ``perms._pattern_rows``, the routine enumeration uses: one row per distinct
@@ -43,10 +43,10 @@ last result there, so the trimmed maps of one window, and every map audited
 over one scan, reuse the untrimmed build.  The audit checks that read only
 the untrimmed scan (the domain, the restrictions, type-1 pairs, class gaps)
 live on the kept scan as ``_BulkWindows.audit``, made on its first audit.
-Each map's images of the domain are grouped once per kept scan
-(``_BulkWindows.map_groups``): the scan audit reads the groups of
-``delta``, ``delta-l`` and ``delta-r``, and each map's audit reads its own
-for its image size and its collisions.
+Each map's images of the domain are grouped once per kept scan, and only
+the grouping is kept (``_BulkWindows.map_groups``): the scan audit reads the
+groups of ``delta``, ``delta-l`` and ``delta-r``, and each map's audit reads
+its own for its image size and its collisions.
 The scan audit types no pair one at a time: a type-1 partner of an image is
 the image with its end entries swapped, so one distinct-row count decides the
 type-1 check, and ``complementary_pair`` types only the collisions.
@@ -394,15 +394,16 @@ def doubling_order_case(
 
 @dataclass(frozen=True)
 class _BulkWindows:
-    """Per-factor data for the starts of a scan: patterns, classes, and the
-    doubled windows, ranked directly and equal to the formula's images.
+    """Per-factor data for the starts of a scan: patterns, last classes, and
+    the doubled windows, ranked directly and equal to the formula's images.
 
     Row i stands for the ``weights[i]`` scan starts that share the base
     factor of ``starts[i]``, their first; every per-window value below is a
     function of that factor (see ``_bulk_windows``).  ``images`` keeps the
     ranked rows in the dtype ``ranking.window_patterns`` gives them (uint8
     up to 2n = 255, uint16 above), so the audits group and restrict them
-    with no widening copy.
+    with no widening copy.  The scan audit derives the cores from
+    ``base_patterns``; ``map_groups`` keeps a map's grouping, not its rows.
     """
 
     n: int
@@ -410,11 +411,10 @@ class _BulkWindows:
     starts: np.ndarray          # (F,) first start of each distinct factor, ascending
     weights: np.ndarray         # (F,) scan starts sharing that factor
     base_patterns: np.ndarray   # (F, n+k)
-    core_patterns: np.ndarray   # (F, n)
-    classes: np.ndarray         # (F, n)
+    last_class: np.ndarray      # (F,) class of position n-1, narrowest unsigned dtype
     class_complete: np.ndarray  # (F,) every class inhabited
     images: np.ndarray          # (F, 2n) ranked directly, equal to the formula's
-    # map name -> (rows, index, bounds) of ``map_groups``, filled on first read.
+    # map name -> (index, bounds) of ``map_groups``, filled on first read.
     _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -437,14 +437,14 @@ class _BulkWindows:
         reps.setflags(write=False)
         return reps
 
-    def map_groups(self, map_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, index, bounds)``: the images of the domain under
-        ``map_name``, one row per ``reps`` entry, and their
-        ``perms._row_groups``.  Grouped once per scan and map; the scan audit
-        and every ``audit_map`` over this scan read the same grouping."""
+    def map_groups(self, map_name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, bounds)``: the ``perms._row_groups`` of the images of
+        the domain under ``map_name``, one row per ``reps`` entry.  Grouped
+        once per scan and map; the scan audit and every ``audit_map`` over
+        this scan read the same grouping."""
         if map_name not in self._groups:
             rows = restrict_rows(self.images[self.reps], *MAPS[map_name])
-            self._groups[map_name] = (rows, *_row_groups(rows))
+            self._groups[map_name] = _row_groups(rows)
         return self._groups[map_name]
 
     @cached_property
@@ -454,10 +454,10 @@ class _BulkWindows:
         # Structural checks on the distinct full doubling images.  Restriction
         # maps images to images, so a restriction is faithful exactly when its
         # map has as many distinct images as the full doubling.
-        images, index, bounds = self.map_groups("delta")
-        full = images[index[bounds[:-1]]]
-        left_faithful = self.map_groups("delta-l")[2].size == bounds.size
-        right_faithful = self.map_groups("delta-r")[2].size == bounds.size
+        index, bounds = self.map_groups("delta")
+        full = self.images[self.reps[index[bounds[:-1]]]]
+        left_faithful = self.map_groups("delta-l")[1].size == bounds.size
+        right_faithful = self.map_groups("delta-r")[1].size == bounds.size
         # The type-1 partner of a permutation is itself with its end entries
         # swapped, when those differ by one.  Past two entries the swap keeps
         # the form, as no entry lies between the two; a two-entry row's
@@ -473,11 +473,10 @@ class _BulkWindows:
         # Same-core windows whose final positions sit in different classes: the
         # classes must be adjacent and the last two image entries must differ.
         # Rows are (core, class of the last position, last two image entries).
-        n = self.n
-        tails = np.hstack(
-            [self.core_patterns, self.classes[:, n - 1 :], self.images[:, 2 * n - 2 :]]
-        )
-        tails = _distinct_rows(tails[self.class_complete])
+        n, complete = self.n, self.class_complete
+        core = restrict_rows(self.base_patterns[complete], 0, self.bounds.k)
+        ends = self.last_class[complete, None], self.images[complete, 2 * n - 2 :]
+        tails = _distinct_rows(np.hstack([core, *ends]))
         gap_checked = 0
         gap_violations = 0
         for group in _multi_groups(*_row_groups(tails[:, :n])):
@@ -569,14 +568,13 @@ def _bulk_windows(
         starts=starts,
         weights=weights,
         base_patterns=base_patterns,
-        core_patterns=core_patterns,
-        classes=classes,
+        last_class=classes[:, -1].astype(np.min_scalar_type(bounds.num_classes)),
         class_complete=(gamma > 0).all(axis=1),
         images=images,
     )
-    for array in (starts, weights, base_patterns, core_patterns, classes, images):
+    kept = starts, weights, base_patterns, images, bulk.last_class, bulk.class_complete
+    for array in kept:
         array.setflags(write=False)
-    bulk.class_complete.setflags(write=False)
     source._last_transfer = (key, bulk)
     return bulk
 
@@ -727,7 +725,7 @@ def audit_map(
         raise DomainError(f"map {map_name} has an empty image at half-length n={n}")
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
     scan = bulk.audit
-    images, index, bounds = bulk.map_groups(map_name)
+    index, bounds = bulk.map_groups(map_name)
     collisions = [
         _collision(bulk, i, j)
         for group in _multi_groups(index, bounds)
@@ -739,7 +737,7 @@ def audit_map(
         source_spec=source.spec_string(),
         map_name=map_name,
         half_length=n,
-        image_length=images.shape[1],
+        image_length=2 * n - lead - trail,
         k0=bulk.bounds.k0,
         k1=bulk.bounds.k1,
         scan_window=scan_window,

@@ -111,11 +111,13 @@ def _sort_shifts(
     # letters as byte strings; each run of equal keys is then a group
     # ``step`` letters deeper.
     text = letters[: positions - 1 + horizon]
-    if text.dtype.itemsize != 1:
-        if text.size and not 0 <= text.min() <= text.max() <= 255:
-            raise DomainError("shift_ranks compares letters 0..255")
-        text = text.astype(np.uint8)
-    text = text.tobytes()
+    wide = text.dtype.itemsize != 1
+    if wide and 0 <= text.min(initial=0) <= text.max(initial=0) <= 255:
+        text, wide = text.astype(np.uint8), False
+    # An int8 letter below 0 is a byte of 128 or more, so not ASCII.
+    signed, text = text.dtype.kind == "i", text.tobytes()
+    if wide or signed and not text.isascii():
+        raise DomainError("shift_ranks compares letters 0..255")
     budget = max(len(text), _KEY_BYTES)
     order, cut, groups = [], False, [(0, range(positions))]
     while groups:

@@ -357,6 +357,21 @@ def test_kept_images_have_the_dtype_of_the_ranked_rows(n, dtype):
     assert bulk.images.shape[1] == 2 * n
 
 
+def test_kept_scan_holds_at_most_twice_its_images():
+    # Once every map is audited, a kept scan holds its images, its base
+    # patterns, one class column and each map's grouping: no class matrix,
+    # no copy of the cores and no restricted image rows.  At n = 130 the
+    # rows are uint16, so the base patterns take half the images' bytes.
+    tm = thue_morse_source()
+    for map_name in MAPS:
+        audit_map(tm, map_name, 130)
+    bulk = doubling._bulk_windows(tm, 130, DEFAULT_SCAN_WINDOW)
+    assert bulk.images.dtype == np.uint16 and len(bulk._groups) == len(MAPS)
+    arrays = {id(a): a for a in vars(bulk).values() if isinstance(a, np.ndarray)}
+    arrays.update((id(a), a) for groups in bulk._groups.values() for a in groups)
+    assert sum(a.nbytes for a in arrays.values()) <= 2 * bulk.images.nbytes
+
+
 def test_each_map_groups_its_images_once_per_scan(monkeypatch):
     # The scan audit reads the groups of delta, delta-l and delta-r, and each
     # map's audit reads its own, all grouped once: the base patterns (width

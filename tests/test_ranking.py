@@ -187,6 +187,9 @@ def test_shift_ranks_takes_wide_integer_letters():
         shift_ranks(np.array([256, 0, 1]), 3, 1)
     with pytest.raises(PermlexError):
         shift_ranks(np.array([0, -1, 1]), 3, 1)
+    # One-byte signed letters below 0 are refused too, not read as 255.
+    with pytest.raises(PermlexError):
+        shift_ranks(np.array([0, -1, 1, 0], dtype=np.int8), 3, 1)
 
 
 def test_ranked_word_detects_periodic_words():
