@@ -362,11 +362,14 @@ class _RunScan:
     """Run statistics of a source's prefix, grown as ``run_bounds`` inspects
     longer prefixes.
 
-    Letters ``[0, scanned)`` have been scanned, each once.  The state stays
-    O(records), never one entry per run: the first three run starts, the
-    start of the last run seen (its end is not known yet), and per letter
-    the records ``(end, maximum)`` at which the running maximum of completed
-    interior runs grows, ``end`` being the start of the next run.
+    Letters ``[0, scanned)`` have been scanned, each once.  ``scanned`` may
+    run up to one chunk past the longest prefix inspected (never past the
+    letters generated), since the records answer any shorter prefix.  The
+    state stays O(records), never one entry per run: the first three run
+    starts, the start of the last run seen (its end is not known yet), and
+    per letter the records ``(end, maximum)`` at which the running maximum
+    of completed interior runs grows, ``end`` being the start of the next
+    run.
 
     Fresh letters are read in chunks of ``_SCAN_CHUNK``, so the scan's memory
     is bounded by the chunk, not by the prefix.  Runs alternate letters, so a
@@ -428,10 +431,13 @@ def run_bounds(
     conclusion and ``PrefixTooShort`` is raised.
 
     The result is exact for the inspected prefix, whatever longer prefixes
-    were inspected before.  The source scans each letter once over all
-    calls, so the cost is amortised: a call past the scanned prefix reads
-    only the new letters, and every call answers from a few run records
-    plus a look at the last ``k + 1`` letters.
+    were scanned before.  The source scans each letter once over all calls,
+    so the cost is amortised: a call past the scanned prefix scans on to its
+    own end or one ``_SCAN_CHUNK`` past the old scan, whichever is further,
+    within the letters the source has already generated, so deeper and
+    deeper requests extend the scan about once per chunk.  Every call
+    answers from a few run records plus a look at the last ``k + 1``
+    letters.
     """
     if inspect_len < 2:
         raise DomainError("inspect_len must be at least 2")
@@ -441,7 +447,9 @@ def run_bounds(
     w = source.letters(eff)
     scan = source._run_scan
     if eff > scan.scanned:
-        scan.extend(w)
+        # The read-ahead stops at the end of the generated letters.
+        ahead = max(eff, scan.scanned + _SCAN_CHUNK)
+        scan.extend(source._prefix[:ahead])
     if len(scan.first_starts) < 3 or scan.first_starts[2] >= eff:
         raise PrefixTooShort(
             f"no interior runs in the first {eff} letters of {source.spec_string()}"

@@ -7,6 +7,7 @@ doubled word itself, where the same object can be read off directly.
 
 import dataclasses
 import gc
+import random
 import weakref
 
 import numpy as np
@@ -42,7 +43,7 @@ from permlex import (
     tm_tau,
     verify_image_formulas,
 )
-from permlex import doubling, perms
+from permlex import doubling, perms, words
 from permlex.doubling import MAPS
 from permlex.perms import DEFAULT_SCAN_WINDOW
 from permlex.ranking import separation_depth
@@ -795,6 +796,45 @@ def test_trimmed_maps_reuse_the_untrimmed_window(monkeypatch):
     assert trimmed == [
         perms._restrict(image, *MAPS[m]) for m in ("delta-l", "delta-r", "delta-m")
     ]
+
+
+@pytest.mark.parametrize("spec", ["thue-morse", "fibonacci", "sturmian:2"])
+def test_single_window_queries_extend_the_run_scan_once_per_chunk(monkeypatch, spec):
+    # Shallow windows interleaved with windows ascending to 2**17, each
+    # certifying run bounds past its end.  The scan reads a chunk ahead, or
+    # to the end of the letters generated, so it grows about once per chunk,
+    # not once or twice per deep window.
+    source = parse_word_spec(spec)
+    extends = []
+    extend = words._RunScan.extend
+
+    def counting(scan, w):
+        if scan is source._run_scan:
+            full = w.size >= scan.scanned + words._SCAN_CHUNK
+            assert full or w.size == source._prefix.size
+            extends.append(w.size)
+        extend(scan, w)
+
+    monkeypatch.setattr(words._RunScan, "extend", counting)
+    rng = random.Random(f"run-scan:{spec}")
+    shallow = [rng.randrange(4096) for _ in range(16)]
+    deep = sorted(rng.randrange(4096, 1 << 17) for _ in range(16))
+    for a in (a for pair in zip(shallow, deep) for a in pair):
+        try:
+            class_profile(source, a, rng.randint(8, 40))
+        except ClassMissing:
+            pass
+        b = a + rng.randint(1, 320)
+        if compare_shifts(source, a, b)[0] != LESS:
+            a, b = b, a
+        doubling_order_case(source, a, b)
+    # One extend per chunk scanned, plus the few that stop short at the end
+    # of a prefix not yet a chunk longer than the scan: about one per growth
+    # of the prefix, and at most 2 beyond one per chunk over 40 seeds of
+    # this sweep.
+    scanned = source._run_scan.scanned
+    assert scanned > deep[-1]
+    assert len(extends) <= -(-scanned // words._SCAN_CHUNK) + 2
 
 
 def test_kept_bulk_scan_is_read_only(tm):

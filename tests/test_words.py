@@ -413,11 +413,19 @@ def test_run_bounds_scans_each_letter_once(monkeypatch):
     lengths = [rng.randint(2, 1 << 17) for _ in range(200)]
     for n in lengths:
         run_bounds(source, n)
-    # The scanned position ranges are disjoint and cover no more than the
-    # longest inspected prefix.
+    # The scanned position ranges are disjoint.  They read ahead at most one
+    # chunk past the longest inspected prefix, and never past the letters
+    # the source generated.
     scanned.sort()
     assert all(hi <= lo for (_, hi), (lo, _) in zip(scanned, scanned[1:]))
-    assert sum(hi - lo for lo, hi in scanned) <= max(lengths)
+    assert scanned[-1][1] <= source._prefix.size
+    assert sum(hi - lo for lo, hi in scanned) <= max(lengths) + words._SCAN_CHUNK
+    # The read-ahead generates no letter: the prefix grew as it does for
+    # the same requests without run bounds.
+    twin = thue_morse_source()
+    for n in lengths:
+        twin.letters(n)
+    assert source._prefix.size == twin._prefix.size
 
 
 def _scan_state(source):
@@ -446,7 +454,8 @@ def _scan_state(source):
 def test_run_bounds_exact_across_scan_chunks(chunk, spec, lengths):
     # Runs that straddle chunk boundaries, one run per chunk, and chunks
     # that hold no run start give exact bounds, and leave the state that one
-    # call scanning the longest prefix in a single chunk leaves.
+    # scan of the same letters in a single chunk leaves.  Where the scan
+    # stops depends on the chunk size, since it reads a chunk ahead.
     chunked = parse_word_spec(spec)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "_SCAN_CHUNK", chunk)
@@ -458,7 +467,7 @@ def test_run_bounds_exact_across_scan_chunks(chunk, spec, lengths):
     whole = parse_word_spec(spec)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "_SCAN_CHUNK", 1 << 30)
-        _outcome(lambda: run_bounds(whole, max(lengths)))
+        whole._run_scan.extend(whole.letters(chunked._run_scan.scanned))
     assert _scan_state(chunked) == _scan_state(whole)
 
 
