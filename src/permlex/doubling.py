@@ -486,7 +486,6 @@ class _BulkWindows:
                     gap_violations += abs(c1 - c2) != 1 or x1 == x2 or y1 == y2
 
         return _ScanAudit(
-            reps=self.reps,
             left_restriction_faithful=left_faithful,
             right_restriction_faithful=right_faithful,
             no_type1_image_pairs=no_type1,
@@ -498,10 +497,9 @@ class _BulkWindows:
 
 @dataclass(frozen=True)
 class _ScanAudit:
-    """What ``audit_map`` reads of a scan whatever the map: the domain, and
-    the checks on the untrimmed images that its report carries."""
+    """What ``audit_map`` reads of a scan whatever the map: the checks on the
+    untrimmed images that its report carries."""
 
-    reps: np.ndarray            # first row of each distinct base pattern, ascending
     left_restriction_faithful: bool
     right_restriction_faithful: bool
     no_type1_image_pairs: bool
@@ -729,7 +727,7 @@ def audit_map(
     collisions = [
         _collision(bulk, i, j)
         for group in _multi_groups(index, bounds)
-        for i, j in combinations(scan.reps[group].tolist(), 2)
+        for i, j in combinations(bulk.reps[group].tolist(), 2)
     ]
     collisions.sort(key=lambda c: (c.start_a, c.start_b))
 
@@ -741,7 +739,7 @@ def audit_map(
         k0=bulk.bounds.k0,
         k1=bulk.bounds.k1,
         scan_window=scan_window,
-        domain_size=scan.reps.size,
+        domain_size=bulk.reps.size,
         image_size=bounds.size - 1,
         collisions=tuple(collisions),
         surjective=True,

@@ -7,7 +7,7 @@ many as the rows of an unsigned array (``PermSet.rows``).
 
 Two routines of one ranking engine compute patterns.  ``subpermutation``
 sorts the shifts of one window by their next letters as byte strings
-(``ranking.shift_ranks``), and again past the agreement of tied shifts.  The
+(``ranking.shift_ranks``), one sort a round, each past the last tie.  The
 bulk path, ``_pattern_rows``, sorts one window per distinct factor of
 length n+H (H the separation depth over the scan, measured from letters by
 ``ranking.separation_depth``; starts grouped by factor with
@@ -132,10 +132,10 @@ def subpermutation(
     """Pattern of the window ``[a, a+n)``: entry i is the rank of shift ``a+i``.
 
     One sort of the shifts' next 64 letters (``ranking.shift_ranks``) orders
-    them.  On a tie, :func:`compare_shifts`' scan of two tied pairs sets the
-    next horizon past their longer agreement, and to at least twice the
-    last.  As with :func:`compare_shifts`, at the reach ``a + n``, shifts
-    agreeing on more than ``ranking._agreement_limit`` letters raise
+    them or names their least tied group; ``_first_difference`` on two of its
+    pairs sets the next horizon past their longer agreement, and to at least
+    twice the last.  As with :func:`compare_shifts`, at the reach ``a + n``,
+    shifts agreeing on more than ``ranking._agreement_limit`` letters raise
     ``HorizonExhausted``; running out raises ``ranking._out_of_letters``.
     """
     if a < 0:
@@ -154,7 +154,7 @@ def subpermutation(
     while True:
         w = source.letters(min(a + n + horizon, end))[a:]
         try:
-            ranks = ranking.shift_ranks(w, n, horizon)
+            ranks, tied = ranking.shift_ranks(w, n, horizon)
         except PrefixTooShort:
             raise _out_of_letters(
                 source, f"two of the shifts {a}..{a + n - 1} agree until the "
@@ -165,7 +165,6 @@ def subpermutation(
         # The first two and the last two shifts of the least tied group.  A
         # pair that agrees until the last letter ties no more one letter on,
         # so the next round raises for it unless a pair still ties.
-        tied = ranking._sort_shifts(w, n, horizon)[1]
         agree = 0
         for p, q in {(tied[0], tied[1]), (tied[-2], tied[-1])}:
             span = min(limit + 1, end - a - q)

@@ -4,9 +4,9 @@
 their next ``horizon`` letters as byte strings and checking adjacent sorted
 keys.  Shifts whose keys tie short of the horizon are sorted again by the
 letters past them, with keys short enough that memory stays within the
-buffer's size.  It returns ``None`` only when two shifts agree on all
-``horizon`` letters.  The end of the buffer is the end of the word: a key
-cut short by it sorts first among the keys it begins, and when one begins
+buffer's size.  Where shifts agree on all ``horizon`` letters it names the
+least such group instead.  The end of the buffer is the end of the word: a
+key cut short by it sorts first among the keys it begins, and when one begins
 another, no further letter can order them, so ``PrefixTooShort`` is raised.
 
 A prefix-doubling merge (``_merge``) packs each pair of ranks into one
@@ -79,11 +79,12 @@ _KEY_MIN, _KEY_BYTES = 64, 1 << 20
 
 def shift_ranks(
     letters: np.ndarray, positions: int, horizon: int
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, None] | tuple[None, list[int]]:
     """Ranks 0..positions-1 of the first ``positions`` shifts of ``letters``
     (integers 0..255), comparing their next ``horizon`` letters as bytes.
 
-    Returns ``None`` when two shifts agree on ``horizon`` letters; the caller
+    Returns ``(ranks, None)``, or ``(None, tied)``, ``tied`` the least group
+    of shifts that agree on all ``horizon`` letters, ascending; the caller
     decides whether to retry with more lookahead or give up.  The end of
     ``letters`` is the end of the word: a key it cuts short sorts first among
     the keys it begins, so it begins its sorted neighbour, and then only the
@@ -93,23 +94,9 @@ def shift_ranks(
         raise PrefixTooShort(
             f"cannot rank {positions} shifts: only {letters.size} letters exist"
         )
-    order = _sort_shifts(letters, positions, horizon)[0]
-    if order is None:
-        return None
-    ranks = np.empty(positions, dtype=np.int64)
-    ranks[np.fromiter(order, np.int64, positions)] = np.arange(positions)
-    return ranks
-
-
-def _sort_shifts(
-    letters: np.ndarray, positions: int, horizon: int
-) -> tuple[list[int] | None, list[int] | None]:
-    # (order, None): the first ``positions`` shifts of ``letters`` in the
-    # order of their next ``horizon`` letters; or (None, tied): the least
-    # group of shifts that agree on all of them, ascending.  A group that
-    # agrees on its first ``depth`` letters sorts by its next ``step``
-    # letters as byte strings; each run of equal keys is then a group
-    # ``step`` letters deeper.
+    # A group that agrees on its first ``depth`` letters sorts by its next
+    # ``step`` letters as byte strings; each run of equal keys is then a
+    # group ``step`` letters deeper, ascending, as the sort is stable.
     text = letters[: positions - 1 + horizon]
     wide = text.dtype.itemsize != 1
     if wide and 0 <= text.min(initial=0) <= text.max(initial=0) <= 255:
@@ -136,14 +123,16 @@ def _sort_shifts(
             continue
         runs = [list(run) for _, run in groupby(ranked, keys.__getitem__)]
         if depth + step == horizon:
-            return None, sorted(next(run for run in runs if len(run) > 1))
+            return None, next(run for run in runs if len(run) > 1)
         groups += [(depth + step, run) for run in reversed(runs)]
     if cut:
         raise PrefixTooShort(
             f"two of {positions} shifts agree until the word ends "
             f"after {letters.size} letters"
         )
-    return order, None
+    ranks = np.empty(positions, dtype=np.int64)
+    ranks[np.fromiter(order, np.int64, positions)] = np.arange(positions)
+    return ranks, None
 
 
 def _merge(rank: np.ndarray, step: int) -> np.ndarray:

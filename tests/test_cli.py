@@ -1,7 +1,10 @@
 """The command-line interface, driven in-process through main()."""
 
 import json
-import shlex
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -275,23 +278,31 @@ def test_stdout_matches_golden(case, capsys):
     assert out == (GOLDEN_DIR / case["stdout"]).read_text()
 
 
-def test_workflow_cli_steps_replay_the_goldens():
-    # The CI workflow compares CLI stdout with goldens byte for byte.  Each
-    # golden it names must exist and be one this suite replays, recorded from
-    # the argv of the permlex.cli line that wrote the compared file.
-    recorded = {case["stdout"]: case["argv"] for case in GOLDEN}
-    written, compared = {}, []
-    for line in WORKFLOW.read_text().splitlines():
-        if "python -m permlex.cli " in line:
-            words = shlex.split(line)
-            cli = words.index("permlex.cli")
-            redirect = words.index(">")
-            written[words[redirect + 1]] = words[cli + 1 : redirect]
-        elif line.strip().startswith("cmp "):
-            compared.append(shlex.split(line)[1:])
-    assert compared
-    for out, golden in compared:
-        folder, name = golden.rsplit("/", 1)
-        assert folder == "tests/golden" and (GOLDEN_DIR / name).is_file(), golden
-        assert name in recorded, f"{golden} is not in commands.json"
-        assert written[out] == recorded[name], out
+def test_workflow_cli_steps_replay_the_goldens(tmp_path):
+    # The CI workflow replays every case of commands.json in one loop, and
+    # writes out no CLI run or byte comparison by hand.
+    lines = WORKFLOW.read_text().splitlines()
+    for line in lines:
+        assert not line.strip().startswith("cmp "), line
+        assert line.strip().startswith("#") or "python -m permlex.cli" not in line, line
+    first = lines.index("          python -c '", lines.index("      - name: CLI workloads"))
+    script = textwrap.dedent("\n".join(lines[first + 1 : lines.index("          '", first)]))
+    assert '"commands.json"' in script
+    # Run in a folder holding one case: it passes as recorded and fails on
+    # a stdout byte or an exit code that differs.
+    golden = tmp_path / "tests" / "golden"
+    golden.mkdir(parents=True)
+    case = GOLDEN[0]
+    recorded = (GOLDEN_DIR / case["stdout"]).read_bytes()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def replay(stdout, exit_code):
+        (golden / case["stdout"]).write_bytes(stdout)
+        (golden / "commands.json").write_text(json.dumps([{**case, "exit": exit_code}]))
+        return subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True
+        ).returncode
+
+    assert replay(recorded, case["exit"]) == 0
+    assert replay(recorded + b"\n", case["exit"]) != 0
+    assert replay(recorded, case["exit"] + 1) != 0

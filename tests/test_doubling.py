@@ -888,7 +888,7 @@ def test_scan_audit_finds_a_forged_type1_image_pair(tm):
 def _no_type1_by_pairs(bulk):
     # The scan audit's type-1 check as first written: type every pair of
     # distinct full images that share a form.
-    full = {tuple(row) for row in bulk.images[bulk.audit.reps].tolist()}
+    full = {tuple(row) for row in bulk.images[bulk.reps].tolist()}
     by_form = {}
     for p in sorted(full):
         by_form.setdefault(perms.form_of(p), []).append(p)
@@ -969,7 +969,7 @@ def test_scan_checks_are_made_once_per_scan(monkeypatch):
     build = doubling._ScanAudit
 
     def counting(**fields):
-        builds.append(fields["reps"].size)
+        builds.append(fields)
         return build(**fields)
 
     monkeypatch.setattr(doubling, "_ScanAudit", counting)
@@ -980,7 +980,7 @@ def test_scan_checks_are_made_once_per_scan(monkeypatch):
         audit_map(tm, map_name, 9, 256)
     assert len(builds) == 1
     with pytest.raises(ValueError):
-        doubling._bulk_windows(tm, 9, 256).audit.reps[0] = 1
+        doubling._bulk_windows(tm, 9, 256).reps[0] = 1
     # Another (n, scan) is another scan; the slot keeps only the last one, so
     # returning to the first builds it again, and so does a delta in between.
     audit_map(tm, "delta-m", 10, 256)
@@ -989,4 +989,5 @@ def test_scan_checks_are_made_once_per_scan(monkeypatch):
     delta(tm, 3, 9)
     audit_map(tm, "delta-r", 9, 256)
     assert len(builds) == 4
-    assert builds[0] == builds[2] == builds[3] == audit_map(tm, "delta", 9, 256).domain_size
+    # Each rebuild of the first scan makes the same checks.
+    assert builds[0] == builds[2] == builds[3]

@@ -225,6 +225,37 @@ def test_subpermutation_against_string_sort_past_64_letters(name, a, n):
         assert len(horizons) <= 3, horizons
 
 
+@pytest.mark.parametrize(
+    "name,a,n", [("sturmian:5000", 54833, 266), ("fibonacci", 44161, 265)]
+)
+def test_subpermutation_sorts_once_per_tie_round(name, a, n, monkeypatch):
+    # A round that ties takes its tied group from the sort that found the
+    # tie, so the window makes exactly the byte sorts of its shift_ranks
+    # calls replayed alone: no second sort names the group.
+    source = _long_tie_word(name)[0]
+    calls, sorts = [], []
+    ranked = ranking.shift_ranks
+
+    def recording(letters, positions, horizon):
+        calls.append((letters.copy(), positions, horizon))
+        return ranked(letters, positions, horizon)
+
+    def counting(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    # A module global shadows the builtin inside ranking.
+    monkeypatch.setattr(ranking, "sorted", counting, raising=False)
+    monkeypatch.setattr(ranking, "shift_ranks", recording)
+    subpermutation(source, a, n)
+    in_window = len(sorts)
+    sorts.clear()
+    for args in calls:
+        ranked(*args)
+    assert len(calls) > 1, "the window has no tie round"
+    assert in_window == len(sorts)
+
+
 #: Finite words of long runs or short periods: a window's shifts tie past 64
 #: letters, and often agree until the last letter.
 _RUN_WORDS = st.one_of(
