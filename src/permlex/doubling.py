@@ -41,8 +41,8 @@ source owns one slot for the last transfer window,
 ``WordSource._last_transfer``: ``delta`` and ``_bulk_windows`` store their
 last result there, so the trimmed maps of one window, and every map audited
 over one scan, reuse the untrimmed build.  The audit checks that read only
-the untrimmed scan (the domain, the restrictions, type-1 pairs, class gaps)
-live on the kept scan as ``_BulkWindows.audit``, made on its first audit.
+the untrimmed scan (restrictions, type-1 pairs, class gaps) are kept with
+it as ``_BulkWindows.audit``, report fields that ``audit_map`` passes on.
 Each map's images of the domain are grouped once per kept scan, and only
 the grouping is kept (``_BulkWindows.map_groups``): the scan audit reads the
 groups of ``delta``, ``delta-l`` and ``delta-r``, and each map's audit reads
@@ -58,6 +58,7 @@ import weakref
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -245,11 +246,12 @@ def class_profile(source: WordSource, a: int, n: int) -> ClassProfile:
         raise DomainError("window start must be >= 0 and length >= 1")
     bounds = _bounds_covering(source, a + n)
     _, (classes,), (gamma,) = _window_rows(source, bounds, np.array([a]), n)
-    if (gamma == 0).any():
-        missing = np.flatnonzero(gamma == 0).tolist()
+    missing = np.flatnonzero(gamma == 0).tolist()
+    if missing:
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ClassMissing(
             f"window [{a}, {a + n}) of {source.spec_string()} lacks run "
-            f"class(es) {missing}"
+            f"class(es) {missing[:10]}{more}"
         )
     return ClassProfile(
         k0=bounds.k0,
@@ -397,22 +399,22 @@ class _BulkWindows:
     """Per-factor data for the starts of a scan: patterns, last classes, and
     the doubled windows, ranked directly and equal to the formula's images.
 
-    Row i stands for the ``weights[i]`` scan starts that share the base
-    factor of ``starts[i]``, their first; every per-window value below is a
-    function of that factor (see ``_bulk_windows``).  ``images`` keeps the
-    ranked rows in the dtype ``ranking.window_patterns`` gives them (uint8
-    up to 2n = 255, uint16 above), so the audits group and restrict them
-    with no widening copy.  The scan audit derives the cores from
-    ``base_patterns``; ``map_groups`` keeps a map's grouping, not its rows.
+    Row i stands for the scan starts that share the base factor of
+    ``starts[i]``, their first; every per-window value below is a function
+    of that factor (see ``_bulk_windows``), and ``class_complete_windows``
+    counts starts, not rows.  ``images`` keeps the ranked rows in the dtype
+    ``ranking.window_patterns`` gives them (uint8 up to 2n = 255, uint16
+    above), so the audits group and restrict them with no widening copy;
+    ``map_groups`` keeps a map's grouping, not its rows.
     """
 
     n: int
     bounds: RunBounds
     starts: np.ndarray          # (F,) first start of each distinct factor, ascending
-    weights: np.ndarray         # (F,) scan starts sharing that factor
     base_patterns: np.ndarray   # (F, n+k)
     last_class: np.ndarray      # (F,) class of position n-1, narrowest unsigned dtype
     class_complete: np.ndarray  # (F,) every class inhabited
+    class_complete_windows: int  # scan starts whose window meets every class
     images: np.ndarray          # (F, 2n) ranked directly, equal to the formula's
     # map name -> (index, bounds) of ``map_groups``, filled on first read.
     _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -448,9 +450,9 @@ class _BulkWindows:
         return self._groups[map_name]
 
     @cached_property
-    def audit(self) -> _ScanAudit:
-        """The checks of ``audit_map`` that read only this scan's untrimmed
-        rows, made once for every map audited over it."""
+    def audit(self) -> MappingProxyType:
+        """The ``AuditReport`` fields that read only this scan's untrimmed
+        rows, read-only and made once for every map audited over it."""
         # Structural checks on the distinct full doubling images.  Restriction
         # maps images to images, so a restriction is faithful exactly when its
         # map has as many distinct images as the full doubling.
@@ -485,27 +487,14 @@ class _BulkWindows:
                     gap_checked += 1
                     gap_violations += abs(c1 - c2) != 1 or x1 == x2 or y1 == y2
 
-        return _ScanAudit(
+        return MappingProxyType(dict(
             left_restriction_faithful=left_faithful,
             right_restriction_faithful=right_faithful,
             no_type1_image_pairs=no_type1,
             gap_pairs_checked=gap_checked,
             gap_violations=gap_violations,
-            class_complete_windows=int(self.weights[self.class_complete].sum()),
-        )
-
-
-@dataclass(frozen=True)
-class _ScanAudit:
-    """What ``audit_map`` reads of a scan whatever the map: the checks on the
-    untrimmed images that its report carries."""
-
-    left_restriction_faithful: bool
-    right_restriction_faithful: bool
-    no_type1_image_pairs: bool
-    gap_pairs_checked: int
-    gap_violations: int
-    class_complete_windows: int
+            class_complete_windows=self.class_complete_windows,
+        ))
 
 
 def _bulk_windows(
@@ -560,17 +549,18 @@ def _bulk_windows(
             "doubling image formula disagrees with directly ranked doubled "
             "windows; this is a bug"
         )
+    class_complete = (gamma > 0).all(axis=1)
     bulk = _BulkWindows(
         n=n,
         bounds=bounds,
         starts=starts,
-        weights=weights,
         base_patterns=base_patterns,
         last_class=classes[:, -1].astype(np.min_scalar_type(bounds.num_classes)),
-        class_complete=(gamma > 0).all(axis=1),
+        class_complete=class_complete,
+        class_complete_windows=int(weights[class_complete].sum()),
         images=images,
     )
-    kept = starts, weights, base_patterns, images, bulk.last_class, bulk.class_complete
+    kept = starts, base_patterns, images, bulk.last_class, class_complete
     for array in kept:
         array.setflags(write=False)
     source._last_transfer = (key, bulk)
@@ -722,7 +712,6 @@ def audit_map(
     if 2 * n - lead - trail < 1:
         raise DomainError(f"map {map_name} has an empty image at half-length n={n}")
     bulk = _bulk_windows(source, n, scan_window, max_horizon)
-    scan = bulk.audit
     index, bounds = bulk.map_groups(map_name)
     collisions = [
         _collision(bulk, i, j)
@@ -743,12 +732,7 @@ def audit_map(
         image_size=bounds.size - 1,
         collisions=tuple(collisions),
         surjective=True,
-        left_restriction_faithful=scan.left_restriction_faithful,
-        right_restriction_faithful=scan.right_restriction_faithful,
-        no_type1_image_pairs=scan.no_type1_image_pairs,
-        gap_pairs_checked=scan.gap_pairs_checked,
-        gap_violations=scan.gap_violations,
-        class_complete_windows=scan.class_complete_windows,
+        **bulk.audit,
     )
 
 

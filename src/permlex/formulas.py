@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, PrefixTooShort, Unsaturated
 from .words import (
     ComplementSource,
     DoubledSource,
@@ -199,7 +199,9 @@ def formula_for(source: WordSource, n: int) -> int | None:
 
     Complements are transparent (complementing a binary word preserves its
     pattern counts).  For doubled Sturmian words the formula is only claimed
-    from twice the inner word's recurrence bound, a conservative onset.
+    from twice the inner word's recurrence bound, a conservative onset, and
+    not at all where the default prefix cannot certify the longest run k or
+    that onset (``PrefixTooShort`` or ``Unsaturated``), as on ``sturmian:5000``.
     """
     while isinstance(source, ComplementSource):
         source = source.inner
@@ -212,8 +214,11 @@ def formula_for(source: WordSource, n: int) -> int | None:
         while isinstance(inner, ComplementSource):
             inner = inner.inner
         if isinstance(inner, SturmianSource):
-            k = run_bounds(inner).k
-            onset = 2 * recurrence_bound(inner, k)
+            try:
+                k = run_bounds(inner).k
+                onset = 2 * recurrence_bound(inner, k)
+            except (PrefixTooShort, Unsaturated):
+                return None
             return doubled_sturmian_tau(n, k) if n >= onset else None
         if isinstance(inner, MorphicSource) and inner.is_thue_morse():
             return doubled_tm_tau(n) if n >= 17 else None

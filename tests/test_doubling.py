@@ -6,6 +6,7 @@ doubled word itself, where the same object can be read off directly.
 """
 
 import dataclasses
+import functools
 import gc
 import random
 import weakref
@@ -78,6 +79,59 @@ def test_class_profile_requires_all_classes(tm):
         class_profile(tm, 10, 7)
     with pytest.raises(ClassMissing):
         class_profile(tm, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "spec, a, n, message",
+    [
+        ("thue-morse", 0, 2, "window [0, 2) of thue-morse lacks run class(es) [0, 2]"),
+        (
+            "sturmian:9",
+            0,
+            1,
+            "window [0, 1) of sturmian:9 lacks run class(es) "
+            "[0, 2, 3, 4, 5, 6, 7, 8, 9, 10]",
+        ),
+        # Past ten missing classes the message names the first ten and a count.
+        (
+            "sturmian:10",
+            0,
+            1,
+            "window [0, 1) of sturmian:10 lacks run class(es) "
+            "[0, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1 more",
+        ),
+        (
+            "sturmian:5000",
+            20000,
+            3,
+            "window [20000, 20003) of sturmian:5000 lacks run class(es) "
+            "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 4988 more",
+        ),
+    ],
+)
+def test_class_missing_names_at_most_ten_classes(spec, a, n, message):
+    with pytest.raises(ClassMissing) as exc:
+        class_profile(parse_word_spec(spec), a, n)
+    assert str(exc.value) == message
+
+
+def test_run_bounds_that_keep_growing_raise(monkeypatch):
+    # Each certification finds runs 100 letters longer than the last, more
+    # than the 64-letter margin, so the bounds never settle.
+    calls = []
+
+    def growing(source, inspect_len):
+        calls.append(inspect_len)
+        k = 100 * len(calls)
+        return words.RunBounds(k0=k, k1=k, certified_over=inspect_len)
+
+    monkeypatch.setattr(doubling, "run_bounds", growing)
+    with pytest.raises(DomainError) as exc:
+        class_profile(thue_morse_source(), 10_000, 7)
+    assert str(exc.value) == (
+        "run bounds of thue-morse kept growing while certifying 10007 letters"
+    )
+    assert len(calls) == 9
 
 
 def test_class_partial_sums_are_cumulative(tm, fib):
@@ -842,6 +896,8 @@ def test_kept_bulk_scan_is_read_only(tm):
     assert doubling._bulk_windows(tm, 5, 64) is bulk
     with pytest.raises(ValueError):
         bulk.images[0, 0] = 0
+    with pytest.raises(TypeError):
+        bulk.audit["gap_violations"] = 0
 
 
 def test_scan_audit_rejects_a_domain_pattern_with_two_images(tm):
@@ -869,7 +925,7 @@ def test_scan_audit_finds_a_forged_type1_image_pair(tm):
     # when those entries differ by one.  Forge them as the images of two
     # domain patterns, every row of a pattern given the same image.
     bulk = doubling._bulk_windows(tm, 8, 64)
-    assert bulk.audit.no_type1_image_pairs
+    assert bulk.audit["no_type1_image_pairs"]
     pattern_of = np.unique(perms._row_keys(bulk.base_patterns), return_inverse=True)[1]
     width = bulk.images.shape[1]
     for p, paired in [
@@ -882,7 +938,7 @@ def test_scan_audit_finds_a_forged_type1_image_pair(tm):
         forged[pattern_of == 0] = p
         forged[pattern_of == 1] = q
         audit = dataclasses.replace(bulk, images=forged).audit
-        assert audit.no_type1_image_pairs == (not paired)
+        assert audit["no_type1_image_pairs"] == (not paired)
 
 
 def _no_type1_by_pairs(bulk):
@@ -906,8 +962,8 @@ def test_scan_audit_type1_check_matches_typing_every_same_form_pair(spec):
     seen = set()
     for n in range(1, 13):
         bulk = doubling._bulk_windows(source, n, 256)
-        seen.add(bulk.audit.no_type1_image_pairs)
-        assert bulk.audit.no_type1_image_pairs == _no_type1_by_pairs(bulk)
+        seen.add(bulk.audit["no_type1_image_pairs"])
+        assert bulk.audit["no_type1_image_pairs"] == _no_type1_by_pairs(bulk)
     if spec == "thue-morse":
         # Thue-Morse has type-1 image pairs at n = 4.
         assert seen == {True, False}
@@ -966,13 +1022,16 @@ def test_audits_do_not_depend_on_their_order(spec, n):
 
 def test_scan_checks_are_made_once_per_scan(monkeypatch):
     builds = []
-    build = doubling._ScanAudit
+    build = doubling._BulkWindows.audit.func
 
-    def counting(**fields):
-        builds.append(fields)
-        return build(**fields)
+    def counting(bulk):
+        fields = build(bulk)
+        builds.append(dict(fields))
+        return fields
 
-    monkeypatch.setattr(doubling, "_ScanAudit", counting)
+    audit = functools.cached_property(counting)
+    audit.__set_name__(doubling._BulkWindows, "audit")
+    monkeypatch.setattr(doubling._BulkWindows, "audit", audit)
     tm = thue_morse_source()
     verify_image_formulas(tm, 9, 256)
     assert builds == []

@@ -19,6 +19,7 @@ from permlex import (
     explicit_source,
     fibonacci_source,
     formula_for,
+    parse_word_spec,
     sturmian_tau,
     thue_morse_source,
     tm_rho,
@@ -160,6 +161,20 @@ def test_formula_for_routes_by_source():
     # below each onset no claim is made
     assert formula_for(tm, 5) is None
     assert formula_for(double(tm), 16) is None
+
+
+@pytest.mark.parametrize(
+    "spec", ["double(sturmian:2000,1)", "complement(double(sturmian:5000))"]
+)
+def test_formula_for_claims_nothing_it_cannot_certify(spec):
+    # The default prefix cannot certify k or the onset on these words: the
+    # length-2001 factors of sturmian:2000,1 still grow at 4096 letters, and
+    # sturmian:5000 completes no interior run in its first 4096 letters.
+    for n in (2, 3, 30):
+        assert formula_for(parse_word_spec(spec), n) is None
+    doubled_fibonacci = double(fibonacci_source())
+    assert formula_for(doubled_fibonacci, 30) == 35
+    assert formula_for(doubled_fibonacci, 11) is None
 
 
 def test_formula_for_routes_thue_morse_on_structure(monkeypatch):

@@ -146,6 +146,8 @@ def test_census_structure_at_known_lengths(tm):
     for length, (multi, types) in expectations.items():
         cen = same_form_census(perm_set(tm, length))
         assert cen.multi_groups == multi
+        # Every same-form group here holds two patterns, so one pair each.
+        assert cen.pairs == multi
         assert {t for g in cen.groups for t in g.pair_types} == types
         assert cen.non_complementary_pairs == 0
 

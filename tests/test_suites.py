@@ -1,8 +1,10 @@
 """The named verification suites at reduced ranges."""
 
+import dataclasses
+
 import pytest
 
-from permlex import CheckResult, PermlexError, run_suite
+from permlex import CheckResult, PermlexError, run_suite, suites
 from permlex.cli import main
 from permlex.suites import (
     suite_doubled_sturmian,
@@ -70,3 +72,53 @@ def test_empty_length_range_fails(suite, n_max, capsys):
     assert empty and not any(r.ok for r in empty)
     assert main(["verify", "--suite", suite, "--n-max", str(n_max)]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def _verify_fails(suite, n_max, lines, capsys):
+    assert main(["verify", "--suite", suite, "--n-max", str(n_max)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in out
+
+
+def test_count_mismatch_fails_verify(monkeypatch, capsys):
+    real = suites.tm_tau
+    monkeypatch.setattr(suites, "tm_tau", lambda n: real(n) + (n == 7))
+    _verify_fails(
+        "thue-morse",
+        10,
+        ["FAIL thue-morse-tau: 1 mismatches in n=6..10; first at n=7: 18 != 19"],
+        capsys,
+    )
+
+
+def test_unsettled_doubled_sturmian_count_fails_verify(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "doubled_sturmian_tau", lambda n, k: -1)
+    _verify_fails(
+        "doubled-sturmian",
+        10,
+        [
+            "FAIL doubled-sturmian-tau[sturmian:1]: count never settles on n+5",
+            "FAIL doubled-sturmian-tau[sturmian:2]: count never settles on n+7",
+        ],
+        capsys,
+    )
+
+
+def test_violated_bound_fails_verify(monkeypatch, capsys):
+    real = suites.check_bounds
+
+    def violated(source, n, *args):
+        report = real(source, n, *args)
+        return dataclasses.replace(report, odd_ok=report.odd_ok and n != 10)
+
+    monkeypatch.setattr(suites, "check_bounds", violated)
+    _verify_fails(
+        "bounds",
+        10,
+        [
+            "FAIL doubling-bounds[thue-morse]: bound violated at n=[10]",
+            "FAIL doubling-bounds[sturmian:1]: bound violated at n=[10]",
+        ],
+        capsys,
+    )
