@@ -80,7 +80,6 @@ from .perms import (
 )
 from .ranking import DEFAULT_MAX_HORIZON, separation_depth, window_patterns
 from .words import (
-    DEFAULT_FACTOR_WINDOW,
     DoubledSource,
     RunBounds,
     WordSource,
@@ -130,31 +129,27 @@ def _class_indices(
     run_of.cumsum(out=run_of)
     # Each buffer position's run length and class, computed once and then
     # gathered at ``at``.  A run over its letter's cap gives a class outside
-    # [0, k0 + k1): below 0 for zeros, past k0 + k1 - 1 for ones.
+    # [0, k0 + k1): below 0 for zeros, past k0 + k1 - 1 for ones.  The caps
+    # are the word's own run bounds, so that is a bug.
     run = ends[run_of[:size]]
     run -= np.arange(size)
-    class_of = np.where(letters, run + (k0 - 1), k0 - run)
-    over = class_of.view(np.uintp) >= k0 + k1
-    if over.any():
-        hits = np.flatnonzero(over[at])
-        if hits.size:
-            x = int(at.flat[hits[0]])
-            raise DomainError(
-                f"run of letter {int(letters[x])} at offset {x} "
-                f"exceeds the certified bound ({k0}, {k1}); certify run bounds "
-                "over a longer prefix"
-            )
-    return class_of[at]
+    classes = np.where(letters, run + (k0 - 1), k0 - run)[at]
+    hits = np.flatnonzero(classes.view(np.uintp) >= k0 + k1)
+    if hits.size:
+        x = int(at.flat[hits[0]])
+        raise DomainError(
+            f"run of letter {int(letters[x])} at offset {x} "
+            f"exceeds the word's run bounds ({k0}, {k1}); this is a bug"
+        )
+    return classes
 
 
 def _window_rows(
     source: WordSource, bounds: RunBounds, starts: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Letters ``(W, n)``, run classes ``(W, n)`` and class sizes
-    ``(W, k0 + k1)`` of the windows ``[a, a+n)`` at ``starts``.
-
-    Reads letters only over ``[min(starts), max(starts) + n + k)``, so the
-    offsets named in a run-bound error count from the smallest start.
+    ``(W, k0 + k1)`` of the windows ``[a, a+n)`` at ``starts``, read from the
+    letters ``[min(starts), max(starts) + n + k)``.
     """
     lo = int(starts.min())
     letters = source.letters(int(starts.max()) + n + bounds.k)[lo:]
@@ -163,28 +158,6 @@ def _window_rows(
     keys = classes + bounds.num_classes * np.arange(starts.size)[:, None]
     gamma = np.bincount(keys.ravel(), minlength=starts.size * bounds.num_classes)
     return letters[at], classes, gamma.reshape(starts.size, -1)
-
-
-def _bounds_covering(source: WordSource, extent: int) -> RunBounds:
-    """Run bounds certified over at least ``extent`` letters.
-
-    A longer certification window can reveal longer runs, which changes the
-    class count, so re-certify until the bounds are stable over the region
-    the caller is about to classify.
-    """
-    bounds = run_bounds(source, max(DEFAULT_FACTOR_WINDOW, extent))
-    for _ in range(8):
-        need = extent + bounds.k
-        if bounds.certified_over >= need:
-            return bounds
-        wider = run_bounds(source, need + 64)
-        if (wider.k0, wider.k1) == (bounds.k0, bounds.k1):
-            return wider
-        bounds = wider
-    raise DomainError(
-        f"run bounds of {source.spec_string()} kept growing while certifying "
-        f"{extent} letters"
-    )
 
 
 def _images(
@@ -244,7 +217,7 @@ def class_profile(source: WordSource, a: int, n: int) -> ClassProfile:
     """
     if a < 0 or n < 1:
         raise DomainError("window start must be >= 0 and length >= 1")
-    bounds = _bounds_covering(source, a + n)
+    bounds = run_bounds(source)
     _, (classes,), (gamma,) = _window_rows(source, bounds, np.array([a]), n)
     missing = np.flatnonzero(gamma == 0).tolist()
     if missing:
@@ -367,7 +340,7 @@ def doubling_order_case(
     ordering, _ = compare_shifts(source, a, b, max_horizon)
     if ordering != LESS:
         raise DomainError("the shift at a must precede the shift at b")
-    bounds = _bounds_covering(source, max(a, b) + 1)
+    bounds = run_bounds(source)
     letters, classes, gamma = _window_rows(source, bounds, np.array([a, b]), 1)
     letter_a, letter_b = letters[:, 0].tolist()
     class_a, class_b = classes[:, 0].tolist()
@@ -530,7 +503,7 @@ def _bulk_windows(
         raise DomainError("half-length must be at least 1")
     if scan_window < 1:
         raise DomainError("scan window must be at least 1")
-    bounds = _bounds_covering(source, scan_window + n)
+    bounds = run_bounds(source)
     k = bounds.k
     starts, weights, base_patterns = _pattern_rows(
         source, n + k, scan_window, None, max_horizon
@@ -767,14 +740,13 @@ def check_bounds(
     ``n`` must be at least the word's recurrence bound for length-k factors
     (every window of length ``n`` must contain all of them).
     """
-    bounds = _bounds_covering(source, scan_window + n)
-    threshold = recurrence_bound(source, bounds.k)
+    k = run_bounds(source).k
+    threshold = recurrence_bound(source, k)
     if n < threshold:
         raise DomainError(
             f"bounds need n >= {threshold} (recurrence bound of "
-            f"{source.spec_string()} for length-{bounds.k} factors), got {n}"
+            f"{source.spec_string()} for length-{k} factors), got {n}"
         )
-    k = bounds.k
     doubled = _doubled_view(source)
     sets = [
         perm_set(word, length, scan_window, saturate=True, max_horizon=max_horizon)

@@ -200,8 +200,9 @@ def formula_for(source: WordSource, n: int) -> int | None:
     Complements are transparent (complementing a binary word preserves its
     pattern counts).  For doubled Sturmian words the formula is only claimed
     from twice the inner word's recurrence bound, a conservative onset, and
-    not at all where the default prefix cannot certify the longest run k or
-    that onset (``PrefixTooShort`` or ``Unsaturated``), as on ``sturmian:5000``.
+    not at all where the default prefix cannot certify that onset
+    (``PrefixTooShort`` or ``Unsaturated``), as on ``sturmian:5000``; the
+    longest run k is the word's own (``run_bounds``).
     """
     while isinstance(source, ComplementSource):
         source = source.inner

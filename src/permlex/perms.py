@@ -42,6 +42,7 @@ from .ranking import (
     _agreement_limit,
     _factor_groups,
     _out_of_letters,
+    _window_in_word,
     separation_depth,
     window_patterns,
 )
@@ -142,12 +143,8 @@ def subpermutation(
         raise DomainError("window start must be nonnegative")
     if n < 1:
         raise DomainError("window length must be at least 1")
+    _window_in_word(source, a, n)
     end = source.max_available()
-    if a + n > end:
-        raise _out_of_letters(
-            source, f"the window [{a}, {a + n}) of {source.spec_string()} "
-            "runs past the last letter"
-        )
     limit = _agreement_limit(a + n, max_horizon)
     # Ranks over limit + 1 letters tie only on shifts that agree past the limit.
     horizon = min(64, limit + 1)
@@ -290,10 +287,12 @@ def _pattern_rows(
     ascending, how many starts share it, and its window's pattern.  Starts
     are grouped by factor with ``ranking._factor_groups``; a start whose
     factor would run past the end of the word stands alone, with weight 1.
+    A last window past the end raises before any depth is measured.
     """
     starts = np.arange(scan)
     if parity is not None:
         starts = starts[starts % 2 == (parity == "odd")]
+    _window_in_word(source, int(starts[-1]), n)
     depth = separation_depth(source, n, scan + n - 1, max_horizon)
     span = n + depth
     cut = int(np.searchsorted(starts, source.max_available() - span, side="right"))

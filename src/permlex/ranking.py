@@ -71,6 +71,17 @@ def _out_of_letters(source: WordSource, what: str) -> PrefixTooShort | LimitExce
     )
 
 
+def _window_in_word(source: WordSource, a: int, n: int) -> None:
+    """Raise ``_out_of_letters`` when the window ``[a, a+n)`` runs past the
+    last letter the source can give."""
+    if a + n > source.max_available():
+        raise _out_of_letters(
+            source,
+            f"the window [{a}, {a + n}) of {source.spec_string()} "
+            "runs past the last letter",
+        )
+
+
 #: A group of g shifts sorts by its next max(_KEY_MIN, budget // g) letters,
 #: budget the larger of the buffer and _KEY_BYTES: keys stay within the
 #: buffer's size however far the horizon reaches.
@@ -263,6 +274,8 @@ def separation_depth(
     larger reach's limit, is measured again at the request when it passes
     the request's limit, so errors depend on ``(n, reach)`` alone.
     """
+    if n < 1:
+        raise DomainError("window length must be at least 1")
     over, runs = source._agreement
     limit = _agreement_limit(reach, max_horizon)
     if n > runs.size or reach > over:
@@ -339,13 +352,12 @@ def window_patterns(
     at most ``_BLOCK_CELLS`` cells, so no temporary spans every row.
     """
     starts = np.asarray(starts, dtype=np.int64)
+    if starts.min(initial=0) < 0:
+        raise DomainError("window start must be nonnegative")
+    if n < 0:
+        raise DomainError("window length must be nonnegative")
     reach, end = int(starts.max(initial=0)) + n, source.max_available()
-    if reach > end:
-        raise _out_of_letters(
-            source,
-            f"the window [{reach - n}, {reach}) of {source.spec_string()} "
-            "runs past the last letter",
-        )
+    _window_in_word(source, reach - n, n)
     j = int(depth).bit_length()
     size, levels = _name_levels(source, reach - 1 + (1 << j), j)
     names = levels[j]

@@ -172,7 +172,6 @@ def suite_doubled_sturmian(
 
 def suite_thue_morse(
     n_max: int = 100,
-    rho_max: int | None = None,
     scan_window: int = DEFAULT_SCAN_WINDOW,
     max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> list[CheckResult]:
@@ -181,7 +180,7 @@ def suite_thue_morse(
     results = [
         _count_check(
             "thue-morse-rho",
-            range(3, (rho_max or 2 * n_max) + 1),
+            range(3, 2 * n_max + 1),
             lambda n: _saturated_factor_count(tm, n, scan_window),
             tm_rho,
         ),

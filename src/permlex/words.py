@@ -12,14 +12,15 @@ deepest one, not to the number of requests.
 Letters are stored as int8 arrays (values 0 and 1); ``prefix_str`` renders the
 same data as a digit string for display and hashing.
 
-``factors`` and ``recurrence_bound`` group factor starts with
-``ranking._factor_groups``, the one factor-keying engine.
+``run_bounds`` gives the word's own longest runs, read off the morphisms of
+a fixed point with no letter generated.  ``factors`` and ``recurrence_bound``
+estimate from a prefix, grouping factor starts with ``ranking._factor_groups``,
+the one factor-keying engine.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Mapping, Sequence
@@ -39,7 +40,7 @@ from .ranking import _factor_groups
 #: Hard ceiling on prefix length; requests beyond it raise LimitExceeded.
 DEFAULT_HARD_LIMIT = 1 << 24
 
-#: Default inspection window for factor statistics (run bounds, factor sets).
+#: Default prefix that ``factors`` and ``recurrence_bound`` inspect.
 DEFAULT_FACTOR_WINDOW = 4096
 
 _THUE_MORSE_RULES: Mapping[int, tuple[int, ...]] = {0: (0, 1), 1: (1, 0)}
@@ -78,7 +79,7 @@ class WordSource:
         self._agreement = (0, np.zeros(1, dtype=np.int64))  # ranking.separation_depth
         self._names = (0, [])  # ranking._name_levels: (size, levels)
         self._doubled_twin = None      # doubling._doubled_view
-        self._run_scan = _RunScan()    # words.run_bounds
+        self._run_bounds = None        # words.run_bounds
         self._last_transfer = (None, None)  # doubling.delta, doubling._bulk_windows
 
     # -- subclass interface -------------------------------------------------
@@ -93,6 +94,10 @@ class WordSource:
     def max_available(self) -> int:
         """Largest prefix this source can ever produce."""
         return self.hard_limit
+
+    def _runs(self) -> tuple[int, int]:
+        """The word's longest runs ``(k0, k1)``, which ``run_bounds`` keeps."""
+        raise NotImplementedError
 
     # -- public API ----------------------------------------------------------
 
@@ -160,6 +165,51 @@ class _FixedPointSource(WordSource):
                 np.concatenate(_blocks(images, step[a])) for a in (0, 1)
             )
             self._level += 1
+
+    def _runs(self) -> tuple[int, int]:
+        """Longest runs from the morphisms alone, with no letter read: with
+        w_i = s_{i+1}(w_{i+1}) the fixed point of the cycle rotated by i, the
+        longest runs of all w_i are the least fixed point of ``_longest_runs``,
+        iterated up from the seed letter.  On p steps a bounded word settles
+        within (4p + 1)(2p + 1) rounds: its 2p entries reach 1 (the letter
+        occurs) or 2 (its square occurs) at most 4p times, and in between a
+        change spreads along at most 2p entries.  Still growing, it raises."""
+        steps, p = self._steps, len(self._steps)
+        longest = [[int(a == self.seed) for a in (0, 1)]] * p
+        for _ in range((4 * p + 1) * (2 * p + 1)):
+            after = longest[1:] + longest[:1]  # steps[i] maps w_{i+1}
+            grown = [_longest_runs(s, k) for s, k in zip(steps, after)]
+            if grown == longest:
+                return tuple(longest[0])
+            longest, last = grown, longest
+        grows = [a for a in (0, 1) if any(g[a] > l[a] for g, l in zip(longest, last))]
+        raise DomainError(
+            f"runs of letter {' and '.join(map(str, grows))} in "
+            f"{self.spec_string()} grow without bound"
+        )
+
+
+def _longest_runs(step: Sequence[tuple], after: Sequence[int]) -> list[int]:
+    """Longest run of each letter in s(w), s the step (each letter's image as
+    runs ``(b, count)``) and ``after`` the longest runs of w.
+
+    An a-run of s(w) lies inside one image s(b), b a letter of w; spans the
+    border of s(b1) s(b2), b1 b2 a factor of w (01 and 10 when both letters
+    occur, bb when w has a run bb); or, when s(c) = a^m, covers the images of
+    a whole c-run of w between two images of the other letter d."""
+    present = [b for b in (0, 1) if after[b]]
+    pairs = [(x, y) for x in present for y in present if x != y or after[x] >= 2]
+    longest = []
+    for a in (0, 1):
+        lead = [runs[0][1] if runs[0][0] == a else 0 for runs in step]
+        trail = [runs[-1][1] if runs[-1][0] == a else 0 for runs in step]
+        best = [count for b in present for x, count in step[b] if x == a]
+        best += [trail[x] + lead[y] for x, y in pairs]
+        for c in present:
+            if len(step[c]) == 1 and step[c][0][0] == a:  # s(c) = a^m
+                best.append(trail[1 - c] + step[c][0][1] * after[c] + lead[1 - c])
+        longest.append(max(best, default=0))
+    return longest
 
 
 def _blocks(images: tuple, runs: Sequence[tuple[int, int]]) -> list[np.ndarray]:
@@ -251,6 +301,33 @@ class ExplicitSource(WordSource):
     def max_available(self) -> int:
         return min(self.hard_limit, self._all.size)
 
+    def _runs(self) -> tuple[int, int]:
+        """Longest interior runs.  The first and last runs are cut by the
+        word's ends: a letter with no interior run, or a cut run longer than
+        every interior run of its letter, raises ``PrefixTooShort``."""
+        eff, spec = self.max_available(), self.spec_string()
+        if eff < 2:
+            raise PrefixTooShort("cannot certify run bounds on fewer than 2 letters")
+        w = self.letters(eff)
+        starts = np.flatnonzero(np.append(True, w[1:] != w[:-1]))
+        lengths, heads = np.diff(np.append(starts, eff)), w[starts]
+        if starts.size < 3:
+            raise PrefixTooShort(
+                f"no interior runs in the first {eff} letters of {spec}"
+            )
+        bounds = [int(lengths[1:-1][heads[1:-1] == a].max(initial=0)) for a in (0, 1)]
+        if not all(bounds):
+            raise PrefixTooShort(
+                f"letter {bounds.index(0)} completes no interior run in the first "
+                f"{eff} letters of {spec}"
+            )
+        if any(lengths[e] > bounds[heads[e]] for e in (0, -1)):
+            raise PrefixTooShort(
+                "a run clipped by the prefix boundary exceeds every interior run; "
+                "inspect a longer prefix"
+            )
+        return bounds[0], bounds[1]
+
     def spec_string(self) -> str:
         return f"explicit:{self.text}"
 
@@ -269,6 +346,9 @@ class DoubledSource(WordSource):
     def max_available(self) -> int:
         return min(self.hard_limit, 2 * self.inner.max_available())
 
+    def _runs(self) -> tuple[int, int]:
+        return 2 * run_bounds(self.inner).k0, 2 * run_bounds(self.inner).k1
+
     def spec_string(self) -> str:
         return f"double({self.inner.spec_string()})"
 
@@ -285,6 +365,9 @@ class ComplementSource(WordSource):
 
     def max_available(self) -> int:
         return min(self.hard_limit, self.inner.max_available())
+
+    def _runs(self) -> tuple[int, int]:
+        return run_bounds(self.inner).k1, run_bounds(self.inner).k0
 
     def spec_string(self) -> str:
         return f"complement({self.inner.spec_string()})"
@@ -329,7 +412,9 @@ def complement(source: WordSource) -> ComplementSource:
 
 @dataclass(frozen=True)
 class RunBounds:
-    """Certified maximal run lengths: at most ``k0`` zeros or ``k1`` ones in a row."""
+    """The word's longest runs: at most ``k0`` zeros or ``k1`` ones in a row,
+    the first run included.  ``certified_over`` is ``source.max_available()``,
+    the most letters the source can give."""
 
     k0: int
     k1: int
@@ -344,136 +429,18 @@ class RunBounds:
         return self.k0 + self.k1
 
 
-def _effective_window(source: WordSource, window_len: int) -> int:
-    return min(window_len, source.max_available())
+def run_bounds(source: WordSource) -> RunBounds:
+    """Longest runs of zeros and of ones in the word itself.
 
-
-def _run_starts(w: np.ndarray, lo: int) -> np.ndarray:
-    """Positions in ``[lo, w.size)`` where a new run starts (``lo >= 1``)."""
-    return np.flatnonzero(w[lo:] != w[lo - 1 : -1]) + lo
-
-
-#: Letters ``_RunScan.extend`` reads at a time, so each of its temporaries
-#: stays near 128 KB (int64 positions) however long the scanned prefix grows.
-_SCAN_CHUNK = 1 << 14
-
-
-class _RunScan:
-    """Run statistics of a source's prefix, grown as ``run_bounds`` inspects
-    longer prefixes.
-
-    Letters ``[0, scanned)`` have been scanned, each once.  ``scanned`` may
-    run up to one chunk past the longest prefix inspected (never past the
-    letters generated), since the records answer any shorter prefix.  The
-    state stays O(records), never one entry per run: the first three run
-    starts, the start of the last run seen (its end is not known yet), and
-    per letter the records ``(end, maximum)`` at which the running maximum
-    of completed interior runs grows, ``end`` being the start of the next
-    run.
-
-    Fresh letters are read in chunks of ``_SCAN_CHUNK``, so the scan's memory
-    is bounded by the chunk, not by the prefix.  Runs alternate letters, so a
-    chunk's run lengths, one ``np.diff`` of its run starts, split into each
-    letter's runs as the even and odd entries, with no gather by letter.
+    A fixed point's come from its morphisms, a doubling's are twice its inner
+    word's, a complement's are its inner word's swapped, and an explicit
+    word's are its interior runs (each source's ``_runs``).  No prefix
+    estimates them, and the source keeps them after the first call.
     """
-
-    def __init__(self) -> None:
-        self.scanned = 0
-        self.first_starts = [0]
-        self.last_start = 0
-        self.record_ends: tuple[list[int], list[int]] = ([], [])
-        self.record_maxima: tuple[list[int], list[int]] = ([], [])
-
-    def extend(self, w: np.ndarray) -> None:
-        """Scan the letters of ``w`` past ``scanned``."""
-        for lo in range(max(self.scanned, 1), w.size, _SCAN_CHUNK):
-            fresh = _run_starts(w[: lo + _SCAN_CHUNK], lo)
-            if fresh.size:
-                self._add_runs(w, fresh)
-        self.scanned = w.size
-
-    def _add_runs(self, w: np.ndarray, fresh: np.ndarray) -> None:
-        """Record the runs that the run starts ``fresh`` complete."""
-        self.first_starts += fresh[: 3 - len(self.first_starts)].tolist()
-        letter = int(w[self.last_start])
-        bounds = np.concatenate([[self.last_start], fresh])
-        if self.last_start == 0:  # the first run is never interior
-            bounds, letter = fresh, 1 - letter
-        self.last_start = int(fresh[-1])
-        lengths, ends = np.diff(bounds), bounds[1:]
-        for parity in (0, 1):
-            runs, mine = lengths[parity::2], letter ^ parity
-            maxima = self.record_maxima[mine]
-            best = maxima[-1] if maxima else 0
-            if not runs.size or runs.max() <= best:
-                continue
-            running = np.maximum.accumulate(np.concatenate([[best], runs]))
-            grows = np.diff(running) > 0
-            self.record_ends[mine].extend(ends[parity::2][grows].tolist())
-            maxima.extend(running[1:][grows].tolist())
-
-    def interior_max(self, letter: int, eff: int) -> int:
-        """Longest interior run of ``letter`` in the first ``eff`` letters,
-        i.e. not the first run and followed by a run starting before
-        ``eff``; 0 if there is none."""
-        i = bisect_left(self.record_ends[letter], eff)
-        return self.record_maxima[letter][i - 1] if i else 0
-
-
-def run_bounds(
-    source: WordSource, inspect_len: int = DEFAULT_FACTOR_WINDOW
-) -> RunBounds:
-    """Maximal run length of each letter over a prefix.
-
-    Only runs bounded on both sides inside the prefix are trusted.  If a run
-    touching either end of the prefix is longer than everything certified, or
-    a letter never completes an interior run, the prefix cannot support a
-    conclusion and ``PrefixTooShort`` is raised.
-
-    The result is exact for the inspected prefix, whatever longer prefixes
-    were scanned before.  The source scans each letter once over all calls,
-    so the cost is amortised: a call past the scanned prefix scans on to its
-    own end or one ``_SCAN_CHUNK`` past the old scan, whichever is further,
-    within the letters the source has already generated, so deeper and
-    deeper requests extend the scan about once per chunk.  Every call
-    answers from a few run records plus a look at the last ``k + 1``
-    letters.
-    """
-    if inspect_len < 2:
-        raise DomainError("inspect_len must be at least 2")
-    eff = _effective_window(source, inspect_len)
-    if eff < 2:
-        raise PrefixTooShort("cannot certify run bounds on fewer than 2 letters")
-    w = source.letters(eff)
-    scan = source._run_scan
-    if eff > scan.scanned:
-        # The read-ahead stops at the end of the generated letters.
-        ahead = max(eff, scan.scanned + _SCAN_CHUNK)
-        scan.extend(source._prefix[:ahead])
-    if len(scan.first_starts) < 3 or scan.first_starts[2] >= eff:
-        raise PrefixTooShort(
-            f"no interior runs in the first {eff} letters of {source.spec_string()}"
-        )
-    bounds = [scan.interior_max(letter, eff) for letter in (0, 1)]
-    for letter in (0, 1):
-        if not bounds[letter]:
-            raise PrefixTooShort(
-                f"letter {letter} completes no interior run in the first {eff} "
-                f"letters of {source.spec_string()}"
-            )
-    # The first run ends at the second run start.  The last run, clipped by
-    # the prefix end, exceeds its bound k iff the last k + 1 letters agree
-    # (an interior run has k <= eff - 2, so they all lie in the prefix).
-    last = int(w[-1])
-    if (
-        scan.first_starts[1] > bounds[int(w[0])]
-        or (w[eff - bounds[last] - 1 :] == last).all()
-    ):
-        raise PrefixTooShort(
-            "a run clipped by the prefix boundary exceeds every interior run; "
-            "inspect a longer prefix"
-        )
-    return RunBounds(k0=bounds[0], k1=bounds[1], certified_over=eff)
+    if source._run_bounds is None:
+        k0, k1 = source._runs()
+        source._run_bounds = RunBounds(k0, k1, source.max_available())
+    return source._run_bounds
 
 
 def factors(
@@ -482,7 +449,7 @@ def factors(
     """Distinct length-``n`` blocks occurring in the first ``window_len`` letters."""
     if n < 1:
         raise DomainError("factor length must be at least 1")
-    eff = _effective_window(source, window_len)
+    eff = min(window_len, source.max_available())
     if eff < n:
         raise PrefixTooShort(
             f"window of {eff} letters cannot contain a factor of length {n}"
@@ -505,7 +472,7 @@ def recurrence_bound(
     """
     if k < 1:
         raise DomainError("factor length must be at least 1")
-    eff = _effective_window(source, window_len)
+    eff = min(window_len, source.max_available())
     if eff < 2 * k:
         raise PrefixTooShort(f"window of {eff} letters is too short for k={k}")
     # Factor starts grouped by factor, each group in position order.

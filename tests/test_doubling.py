@@ -8,7 +8,6 @@ doubled word itself, where the same object can be read off directly.
 import dataclasses
 import functools
 import gc
-import random
 import weakref
 
 import numpy as np
@@ -44,7 +43,7 @@ from permlex import (
     tm_tau,
     verify_image_formulas,
 )
-from permlex import doubling, perms, words
+from permlex import doubling, perms
 from permlex.doubling import MAPS
 from permlex.perms import DEFAULT_SCAN_WINDOW
 from permlex.ranking import separation_depth
@@ -105,7 +104,7 @@ def test_class_profile_requires_all_classes(tm):
             20000,
             3,
             "window [20000, 20003) of sturmian:5000 lacks run class(es) "
-            "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 4988 more",
+            "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 4989 more",
         ),
     ],
 )
@@ -115,23 +114,23 @@ def test_class_missing_names_at_most_ten_classes(spec, a, n, message):
     assert str(exc.value) == message
 
 
-def test_run_bounds_that_keep_growing_raise(monkeypatch):
-    # Each certification finds runs 100 letters longer than the last, more
-    # than the 64-letter margin, so the bounds never settle.
-    calls = []
-
-    def growing(source, inspect_len):
-        calls.append(inspect_len)
-        k = 100 * len(calls)
-        return words.RunBounds(k0=k, k1=k, certified_over=inspect_len)
-
-    monkeypatch.setattr(doubling, "run_bounds", growing)
+def test_run_bounds_that_keep_growing_raise():
+    # 0 -> 0001, 1 -> 1 adds a 1 to every run of ones at each step, so no
+    # class system fits the word, and no prefix is asked for one.
     with pytest.raises(DomainError) as exc:
-        class_profile(thue_morse_source(), 10_000, 7)
-    assert str(exc.value) == (
-        "run bounds of thue-morse kept growing while certifying 10007 letters"
-    )
-    assert len(calls) == 9
+        class_profile(parse_word_spec("morphic:0001,1"), 0, 30)
+    assert str(exc.value) == "runs of letter 1 in morphic:0001,1 grow without bound"
+
+
+def test_one_word_has_one_class_system():
+    # sturmian:100's first run of 101 zeros starts at letter 10,100, but its
+    # classes are the word's at every window: class 0, the 101-zero run,
+    # is missing from the window at 0 and present at 20000.
+    source = parse_word_spec("sturmian:100")
+    assert class_profile(source, 20000, 210).k0 == 101
+    with pytest.raises(ClassMissing) as exc:
+        class_profile(source, 0, 210)
+    assert str(exc.value) == "window [0, 210) of sturmian:100 lacks run class(es) [0]"
 
 
 def test_class_partial_sums_are_cumulative(tm, fib):
@@ -166,8 +165,7 @@ def _searchsorted_class_indices(letters, k0, k1, at):
         x = over[0]
         raise DomainError(
             f"run of letter {int(head.flat[x])} at offset {int(at.flat[x])} "
-            f"exceeds the certified bound ({k0}, {k1}); certify run bounds over "
-            "a longer prefix"
+            f"exceeds the word's run bounds ({k0}, {k1}); this is a bug"
         )
     return np.where(head == 0, k0 - run, k0 + run - 1)
 
@@ -850,45 +848,6 @@ def test_trimmed_maps_reuse_the_untrimmed_window(monkeypatch):
     assert trimmed == [
         perms._restrict(image, *MAPS[m]) for m in ("delta-l", "delta-r", "delta-m")
     ]
-
-
-@pytest.mark.parametrize("spec", ["thue-morse", "fibonacci", "sturmian:2"])
-def test_single_window_queries_extend_the_run_scan_once_per_chunk(monkeypatch, spec):
-    # Shallow windows interleaved with windows ascending to 2**17, each
-    # certifying run bounds past its end.  The scan reads a chunk ahead, or
-    # to the end of the letters generated, so it grows about once per chunk,
-    # not once or twice per deep window.
-    source = parse_word_spec(spec)
-    extends = []
-    extend = words._RunScan.extend
-
-    def counting(scan, w):
-        if scan is source._run_scan:
-            full = w.size >= scan.scanned + words._SCAN_CHUNK
-            assert full or w.size == source._prefix.size
-            extends.append(w.size)
-        extend(scan, w)
-
-    monkeypatch.setattr(words._RunScan, "extend", counting)
-    rng = random.Random(f"run-scan:{spec}")
-    shallow = [rng.randrange(4096) for _ in range(16)]
-    deep = sorted(rng.randrange(4096, 1 << 17) for _ in range(16))
-    for a in (a for pair in zip(shallow, deep) for a in pair):
-        try:
-            class_profile(source, a, rng.randint(8, 40))
-        except ClassMissing:
-            pass
-        b = a + rng.randint(1, 320)
-        if compare_shifts(source, a, b)[0] != LESS:
-            a, b = b, a
-        doubling_order_case(source, a, b)
-    # One extend per chunk scanned, plus the few that stop short at the end
-    # of a prefix not yet a chunk longer than the scan: about one per growth
-    # of the prefix, and at most 2 beyond one per chunk over 40 seeds of
-    # this sweep.
-    scanned = source._run_scan.scanned
-    assert scanned > deep[-1]
-    assert len(extends) <= -(-scanned // words._SCAN_CHUNK) + 2
 
 
 def test_kept_bulk_scan_is_read_only(tm):

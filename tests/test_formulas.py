@@ -167,9 +167,10 @@ def test_formula_for_routes_by_source():
     "spec", ["double(sturmian:2000,1)", "complement(double(sturmian:5000))"]
 )
 def test_formula_for_claims_nothing_it_cannot_certify(spec):
-    # The default prefix cannot certify k or the onset on these words: the
+    # The default prefix cannot certify the onset on these words: the
     # length-2001 factors of sturmian:2000,1 still grow at 4096 letters, and
-    # sturmian:5000 completes no interior run in its first 4096 letters.
+    # the onset of sturmian:5000 asks for factors of length k = 5001, more
+    # than half of 4096 letters.
     for n in (2, 3, 30):
         assert formula_for(parse_word_spec(spec), n) is None
     doubled_fibonacci = double(fibonacci_source())

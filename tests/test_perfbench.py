@@ -39,7 +39,7 @@ def test_traced_calls_fill_the_work_counters():
         permlex.perm_set(tm, 6, scan_window=64)
         permlex.subpermutation(tm, 10, 9)
         permlex.compare_shifts(tm, 3, 17)
-        permlex.run_bounds(tm, 256)
+        permlex.run_bounds(tm)
         metrics = tracer.end_pass(1.0)
     finally:
         tracer.uninstall()

@@ -699,6 +699,18 @@ def test_perm_set_on_a_finite_word_ranks_only_the_shifts_its_windows_hold():
     assert not ps.saturated
 
 
+def test_perm_set_past_a_finite_word_names_the_window_that_runs_out():
+    # The default scan's windows start as late as 4095 in a 16-letter word:
+    # the error names that window, not a pair of shifts the scan never
+    # compared.
+    with pytest.raises(PrefixTooShort) as exc:
+        perm_set(explicit_source(naive_thue_morse(16)), 3)
+    assert str(exc.value) == (
+        "the window [4095, 4098) of explicit:0110100110010110 runs past the "
+        "last letter: the word ends after 16 letters"
+    )
+
+
 def test_perm_set_never_certifies_a_finite_word():
     # One doubling of the scan fits in the word and adds no pattern, but a
     # later window, up to the word's end, may still show a new one.  A doubled

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permlex import (
+    DomainError,
     HorizonExhausted,
     LimitExceeded,
     MorphicSource,
@@ -277,6 +278,17 @@ def test_window_patterns_of_length_zero(tm):
     rows = window_patterns(tm, np.arange(5), 0, 0)
     assert rows.shape == (5, 0)
     assert verify_image_formulas(tm, 1, 16).ok
+
+
+def test_ranking_entry_points_reject_bad_windows(tm):
+    # A negative start would read the name table from its end, a negative
+    # length has no rows, and a depth over no pair of shifts is undefined.
+    with pytest.raises(DomainError, match="^window start must be nonnegative$"):
+        window_patterns(tm, [-1], 3, 2)
+    with pytest.raises(DomainError, match="^window length must be nonnegative$"):
+        window_patterns(tm, [0, 1], -1, 2)
+    with pytest.raises(DomainError, match="^window length must be at least 1$"):
+        separation_depth(tm, 0, 10)
 
 
 def test_window_patterns_with_int64_keys():

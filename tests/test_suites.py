@@ -44,7 +44,7 @@ def test_doubled_sturmian_suite_reports_onsets():
 
 
 def test_thue_morse_suite():
-    results = suite_thue_morse(20, rho_max=40)
+    results = suite_thue_morse(20)
     assert {r.name for r in results} == {"thue-morse-rho", "thue-morse-tau"}
     assert all(r.ok for r in results)
 

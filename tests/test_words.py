@@ -1,6 +1,5 @@
 """Word sources: fixed points, Sturmian standard words, wrappers, run bounds."""
 
-import random
 import re
 import tracemalloc
 from collections import Counter
@@ -33,7 +32,6 @@ from permlex import (
     thue_morse_source,
 )
 from permlex import words
-from permlex.words import DEFAULT_FACTOR_WINDOW
 
 from bruteforce import (
     naive_complement,
@@ -293,16 +291,15 @@ def test_run_bounds_match_interior_runs(tm, fib):
 def test_run_bounds_reject_unbounded_prefix():
     # A boundary run longer than any interior run cannot be certified.
     with pytest.raises(PrefixTooShort):
-        run_bounds(explicit_source("000010"), inspect_len=6)
+        run_bounds(explicit_source("000010"))
     with pytest.raises(PrefixTooShort):
         run_bounds(explicit_source("01"))
 
 
-def _naive_run_bounds(source, inspect_len=DEFAULT_FACTOR_WINDOW):
-    # Cache-free reference: every call rescans the whole inspected prefix.
-    if inspect_len < 2:
-        raise DomainError("inspect_len must be at least 2")
-    eff = min(inspect_len, source.max_available())
+def _naive_run_bounds(source):
+    # Reference for a finite word: the longest interior runs of all its
+    # letters, the cut first and last runs no longer than them.
+    eff = source.max_available()
     if eff < 2:
         raise PrefixTooShort("cannot certify run bounds on fewer than 2 letters")
     w = source.letters(eff)
@@ -341,12 +338,9 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-# Its first 20 letters have bounds (1, 1) and its first 104 have (3, 1), so
-# bounds over 20 letters must not borrow the run 000 from a call over 104.
+# Its first 20 letters have bounds (1, 1) and the whole word (3, 1): the run
+# 000 counts, whatever prefix was asked for first.
 LATE_RUN_WORD = "explicit:" + "01" * 40 + "000" + "1" + "01" * 10
-RUN_SPECS = [
-    "thue-morse", "fibonacci", "sturmian:2", "sturmian:3,1", "double(thue-morse)"
-]
 
 
 def _from_runs(first: int, runs: list[int]) -> str:
@@ -367,118 +361,125 @@ EXPLICIT_WORDS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    spec=st.one_of(st.sampled_from(RUN_SPECS), EXPLICIT_WORDS),
-    lengths=st.lists(
-        st.one_of(st.integers(0, 90), st.integers(0, 1 << 14)),
-        min_size=1,
-        max_size=12,
+    spec=st.one_of(
+        EXPLICIT_WORDS,
+        EXPLICIT_WORDS.map("double({})".format),
+        st.tuples(EXPLICIT_WORDS, st.integers(1, 90)),
     ),
+    lengths=st.lists(st.integers(0, 90), max_size=4),
 )
-@example(spec=LATE_RUN_WORD, lengths=[20, 104])
-@example(spec=LATE_RUN_WORD, lengths=[104, 20])
-# After the scan has passed it, the run 11 ending exactly at the prefix end
-# is the clipped last run of the first 6 letters, not an interior one.
-@example(spec="explicit:01001100", lengths=[8, 6])
+@example(spec=LATE_RUN_WORD, lengths=[20])
+@example(spec=LATE_RUN_WORD, lengths=[])
+# The run 11 ends the word: it is its clipped last run, not an interior one.
+@example(spec="explicit:01001100", lengths=[6])
 def test_run_bounds_exact_in_any_call_order(spec, lengths):
-    shared = parse_word_spec(spec)
+    # A finite word's bounds are its interior runs over all the letters it
+    # gives, which a hard limit may cut, whatever prefixes were read first;
+    # a doubling's are the doubled word's, and its errors name its inner word.
+    spec, cap = spec if isinstance(spec, tuple) else (spec, words.DEFAULT_HARD_LIMIT)
+    shared, fresh = parse_word_spec(spec, cap), parse_word_spec(spec, cap)
     for n in lengths:
-        fresh = parse_word_spec(spec)
-        assert _outcome(lambda: run_bounds(shared, n)) == _outcome(
-            lambda: _naive_run_bounds(fresh, n)
-        )
+        _outcome(lambda: shared.letters(n))
+    got = _outcome(lambda: run_bounds(shared))
+    want = _outcome(lambda: _naive_run_bounds(fresh))
+    if spec.startswith("double") and isinstance(want, tuple):
+        got, want = got[0], want[0]
+    assert got == want
+
+
+def _longest_runs(w):
+    starts = np.flatnonzero(np.append(True, w[1:] != w[:-1]))
+    lengths, heads = np.diff(np.append(starts, w.size)), w[starts]
+    return tuple(int(lengths[heads == a].max(initial=0)) for a in (0, 1))
+
+
+def _flip_seed(images):
+    # The seed-1 morphism whose fixed point is the complement of images'.
+    flip = {0: 1, 1: 0}
+    return {a: tuple(flip[x] for x in images[1 - a]) for a in (0, 1)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    word=st.one_of(
+        MORPHISMS.map(lambda images: MorphicSource(dict(enumerate(images)))),
+        MORPHISMS.map(lambda images: MorphicSource(_flip_seed(images), seed=1)),
+        st.lists(st.integers(1, 60), min_size=1, max_size=4).map(sturmian_characteristic),
+    ),
+    wraps=st.lists(st.sampled_from([double, complement]), max_size=2),
+)
+@example(word=MorphicSource({0: (0, 0, 0, 1), 1: (1,)}), wraps=[])
+@example(word=MorphicSource({0: (0, 0), 1: (1,)}), wraps=[double])
+@example(word=sturmian_characteristic((60, 60)), wraps=[double])
+@example(word=MorphicSource({0: (0, 0, 1, 0), 1: (1,)}), wraps=[complement])  # Chacon
+def test_run_bounds_are_the_longest_runs_of_the_word(word, wraps):
+    # The morphisms give the longest runs of the whole word, its first run
+    # included.  Over the draws, every longest run shows in the first 2**13
+    # letters (twice that per doubling), and a word whose maxima still grow
+    # from there to four times as many letters has unbounded runs: it alone
+    # raises.
+    for wrap in wraps:
+        word = wrap(word)
+    scale = 13 + wraps.count(double)
+    w = word.letters(1 << (scale + 2))
+    longest = _longest_runs(w)
+    if _longest_runs(w[: 1 << scale]) != longest:
+        with pytest.raises(DomainError, match="grow without bound"):
+            run_bounds(word)
+    else:
+        assert (run_bounds(word).k0, run_bounds(word).k1) == longest
+
+
+@pytest.mark.parametrize("d", [*range(1, 10), 100, 5000])
+def test_run_bounds_of_sturmian_words_need_no_prefix(d):
+    # sturmian:5000's first run of 5001 zeros starts at letter 25,005,000,
+    # past any prefix the tests read; no letter is generated.
+    source = sturmian_characteristic((d,))
+    bounds = run_bounds(source)
+    assert (bounds.k0, bounds.k1) == (d + 1, 1)
+    assert bounds.certified_over == source.max_available()
+    assert source._prefix.size == 0
 
 
 def test_run_bounds_on_shared_sources(tm, fib, st2, dtm):
-    # Session fixtures carry whatever prefixes earlier tests inspected.
+    # Session fixtures carry whatever prefixes earlier tests read; their
+    # bounds are those of fresh sources, and the source keeps them.
     for source in (tm, fib, st2, dtm):
-        spec = source.spec_string()
-        for n in (50_000, 4096, 7, 300, 50_001):
-            fresh = parse_word_spec(spec)
-            assert _outcome(lambda: run_bounds(source, n)) == _outcome(
-                lambda: _naive_run_bounds(fresh, n)
-            )
+        fresh = parse_word_spec(source.spec_string())
+        assert run_bounds(source) == run_bounds(fresh)
+        assert run_bounds(source) is run_bounds(source)
 
 
 def test_run_bounds_scans_each_letter_once(monkeypatch):
-    scanned = []
-    counted = words._run_starts
+    # A fixed point reads no letter for its bounds, and a finite word reads
+    # its letters on the first call alone.
+    reads = []
+    letters = words.WordSource.letters
 
-    def counting(w, lo):
-        scanned.append((lo, w.size))
-        return counted(w, lo)
+    def counting(source, n):
+        reads.append((source.spec_string(), n))
+        return letters(source, n)
 
-    monkeypatch.setattr(words, "_run_starts", counting)
-    source = thue_morse_source()
-    rng = random.Random(17)
-    lengths = [rng.randint(2, 1 << 17) for _ in range(200)]
-    for n in lengths:
-        run_bounds(source, n)
-    # The scanned position ranges are disjoint.  They read ahead at most one
-    # chunk past the longest inspected prefix, and never past the letters
-    # the source generated.
-    scanned.sort()
-    assert all(hi <= lo for (_, hi), (lo, _) in zip(scanned, scanned[1:]))
-    assert scanned[-1][1] <= source._prefix.size
-    assert sum(hi - lo for lo, hi in scanned) <= max(lengths) + words._SCAN_CHUNK
-    # The read-ahead generates no letter: the prefix grew as it does for
-    # the same requests without run bounds.
-    twin = thue_morse_source()
-    for n in lengths:
-        twin.letters(n)
-    assert source._prefix.size == twin._prefix.size
-
-
-def _scan_state(source):
-    scan = source._run_scan
-    return (
-        scan.scanned,
-        scan.first_starts,
-        scan.last_start,
-        scan.record_ends,
-        scan.record_maxima,
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    chunk=st.sampled_from([1, 2, 3, 64]),
-    spec=st.one_of(st.sampled_from(RUN_SPECS), EXPLICIT_WORDS),
-    lengths=st.lists(
-        st.one_of(st.integers(0, 90), st.integers(0, 1 << 11)),
-        min_size=1,
-        max_size=8,
-    ),
-)
-@example(chunk=1, spec=LATE_RUN_WORD, lengths=[20, 104])
-@example(chunk=2, spec="explicit:01001100", lengths=[8, 6])
-def test_run_bounds_exact_across_scan_chunks(chunk, spec, lengths):
-    # Runs that straddle chunk boundaries, one run per chunk, and chunks
-    # that hold no run start give exact bounds, and leave the state that one
-    # scan of the same letters in a single chunk leaves.  Where the scan
-    # stops depends on the chunk size, since it reads a chunk ahead.
-    chunked = parse_word_spec(spec)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(words, "_SCAN_CHUNK", chunk)
-        for n in lengths:
-            fresh = parse_word_spec(spec)
-            assert _outcome(lambda: run_bounds(chunked, n)) == _outcome(
-                lambda: _naive_run_bounds(fresh, n)
-            )
-    whole = parse_word_spec(spec)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(words, "_SCAN_CHUNK", 1 << 30)
-        whole._run_scan.extend(whole.letters(chunked._run_scan.scanned))
-    assert _scan_state(chunked) == _scan_state(whole)
+    monkeypatch.setattr(words.WordSource, "letters", counting)
+    for spec in ("thue-morse", "sturmian:3,1", "complement(double(fibonacci))"):
+        run_bounds(parse_word_spec(spec))
+    assert reads == []
+    finite = parse_word_spec("double(explicit:0110100110)")
+    first = run_bounds(finite)
+    assert reads
+    reads.clear()
+    assert run_bounds(finite) is first
+    assert reads == []
 
 
 def test_run_bounds_memory_does_not_grow_with_the_prefix():
-    # The scan reads fresh letters a chunk at a time, so certifying bounds
-    # over 2**22 letters allocates far less than one int64 per letter.
+    # The bounds read no letter of a fixed point, so they take no memory in
+    # proportion to the prefix the source holds.
     source = thue_morse_source()
     source.letters(1 << 22)
     tracemalloc.start()
     try:
-        run_bounds(source, 1 << 22)
+        run_bounds(source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
