@@ -22,9 +22,8 @@ from .errors import (
     WrongSource,
 )
 from .words import (
-    ComplementSource,
-    DoubledSource,
     ExplicitSource,
+    ImageSource,
     MorphicSource,
     RunBounds,
     SturmianSource,

@@ -80,7 +80,7 @@ from .perms import (
 )
 from .ranking import DEFAULT_MAX_HORIZON, separation_depth, window_patterns
 from .words import (
-    DoubledSource,
+    ImageSource,
     RunBounds,
     WordSource,
     recurrence_bound,
@@ -103,8 +103,8 @@ def _doubled_view(source: WordSource) -> WordSource:
     own windows do.
     """
     if source._doubled_twin is None:
-        source._doubled_twin = DoubledSource(
-            weakref.proxy(source), 2 * source.hard_limit
+        source._doubled_twin = ImageSource(
+            weakref.proxy(source), "double", 2 * source.hard_limit
         )
     return source._doubled_twin
 

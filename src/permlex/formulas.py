@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PrefixTooShort, Unsaturated
 from .words import (
-    ComplementSource,
-    DoubledSource,
     MorphicSource,
     SturmianSource,
     WordSource,
+    is_image,
     run_bounds,
     recurrence_bound,
 )
@@ -204,15 +203,15 @@ def formula_for(source: WordSource, n: int) -> int | None:
     (``PrefixTooShort`` or ``Unsaturated``), as on ``sturmian:5000``; the
     longest run k is the word's own (``run_bounds``).
     """
-    while isinstance(source, ComplementSource):
+    while is_image(source, "complement"):
         source = source.inner
     if isinstance(source, SturmianSource):
         return sturmian_tau(n) if n >= 2 else None
     if isinstance(source, MorphicSource):
         return tm_tau(n) if source.is_thue_morse() and n >= 6 else None
-    if isinstance(source, DoubledSource):
+    if is_image(source, "double"):
         inner = source.inner
-        while isinstance(inner, ComplementSource):
+        while is_image(inner, "complement"):
             inner = inner.inner
         if isinstance(inner, SturmianSource):
             try:

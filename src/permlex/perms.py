@@ -46,7 +46,7 @@ from .ranking import (
     separation_depth,
     window_patterns,
 )
-from .words import DoubledSource, WordSource
+from .words import WordSource, is_image
 
 Perm = tuple[int, ...]
 
@@ -393,7 +393,7 @@ def perm_set_parity(
     Start-position parity is only meaningful when letters come in aligned
     pairs, so any source that is not a doubling is rejected.
     """
-    if not isinstance(source, DoubledSource):
+    if not is_image(source, "double"):
         raise WrongSource(
             "parity enumeration needs a doubled word; got "
             f"{source.spec_string()}"

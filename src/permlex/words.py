@@ -2,12 +2,12 @@
 
 A :class:`WordSource` produces an unbounded 0/1 sequence one prefix at a time:
 morphic fixed points and characteristic Sturmian words, both fixed points of a
-cycle of morphisms that one block recursion generates, and the doubling and
-complementation operators over any inner source.  Prefixes are cached and only
-grow, never rewriting letters handed out, so positions identify shifts.  A
-prefix grows to at least twice its cached length, up to what the source can
-produce, so deeper and deeper requests build letters in proportion to the
-deepest one, not to the number of requests.
+cycle of morphisms that one block recursion generates, and the image of any
+inner source under a substitution of ``SUBSTITUTIONS`` (an ``ImageSource``).
+Prefixes are cached and only grow, never rewriting letters handed out, so
+positions identify shifts.  A prefix grows to at least twice its cached length,
+up to what the source can produce, so deeper requests build letters in
+proportion to the deepest one, not to the number of requests.
 
 Letters are stored as int8 arrays (values 0 and 1); ``prefix_str`` renders the
 same data as a digit string for display and hashing.
@@ -323,8 +323,8 @@ class ExplicitSource(WordSource):
             )
         if any(lengths[e] > bounds[heads[e]] for e in (0, -1)):
             raise PrefixTooShort(
-                "a run clipped by the prefix boundary exceeds every interior run; "
-                "inspect a longer prefix"
+                f"a run cut by an end of the first {eff} letters of {spec} is "
+                "longer than every interior run of its letter"
             )
         return bounds[0], bounds[1]
 
@@ -332,45 +332,45 @@ class ExplicitSource(WordSource):
         return f"explicit:{self.text}"
 
 
-class DoubledSource(WordSource):
-    """Image of an inner word under the doubling substitution a -> aa."""
+#: Letter-to-block substitutions by spec tag, in ``_FixedPointSource``'s run
+#: format: a -> aa and a -> 1 - a.  The image of 0 is one run, that of 1 its flip.
+SUBSTITUTIONS: Mapping[str, tuple] = {
+    "double": (((0, 2),), ((1, 2),)),
+    "complement": (((1, 1),), ((0, 1),)),
+}
 
-    def __init__(self, inner: WordSource, hard_limit: int = DEFAULT_HARD_LIMIT):
+
+class ImageSource(WordSource):
+    """Image of an inner word under the substitution ``SUBSTITUTIONS[tag]``."""
+
+    def __init__(
+        self, inner: WordSource, tag: str, hard_limit: int = DEFAULT_HARD_LIMIT
+    ):
         super().__init__(hard_limit)
         self.inner = inner
+        self.tag = tag
+        [(self._flip, self._size)] = SUBSTITUTIONS[tag][0]  # 0 -> flip^size
 
     def _generate(self, n: int) -> np.ndarray:
-        half = self.inner.letters((n + 1) // 2)
-        return np.repeat(half, 2)
+        image = self.inner.letters(-(-n // self._size))
+        if self._flip:
+            image = image ^ 1
+        return np.repeat(image, self._size) if self._size > 1 else image
 
     def max_available(self) -> int:
-        return min(self.hard_limit, 2 * self.inner.max_available())
+        return min(self.hard_limit, self._size * self.inner.max_available())
 
     def _runs(self) -> tuple[int, int]:
-        return 2 * run_bounds(self.inner).k0, 2 * run_bounds(self.inner).k1
+        bounds = run_bounds(self.inner)
+        return tuple(_longest_runs(SUBSTITUTIONS[self.tag], (bounds.k0, bounds.k1)))
 
     def spec_string(self) -> str:
-        return f"double({self.inner.spec_string()})"
+        return f"{self.tag}({self.inner.spec_string()})"
 
 
-class ComplementSource(WordSource):
-    """Letter-wise complement (0 <-> 1) of an inner word."""
-
-    def __init__(self, inner: WordSource, hard_limit: int = DEFAULT_HARD_LIMIT):
-        super().__init__(hard_limit)
-        self.inner = inner
-
-    def _generate(self, n: int) -> np.ndarray:
-        return (1 - self.inner.letters(n)).astype(np.int8)
-
-    def max_available(self) -> int:
-        return min(self.hard_limit, self.inner.max_available())
-
-    def _runs(self) -> tuple[int, int]:
-        return run_bounds(self.inner).k1, run_bounds(self.inner).k0
-
-    def spec_string(self) -> str:
-        return f"complement({self.inner.spec_string()})"
+def is_image(source: WordSource, tag: str) -> bool:
+    """Whether the outermost wrapper of ``source`` is ``tag``'s substitution."""
+    return isinstance(source, ImageSource) and source.tag == tag
 
 
 # -- constructors -------------------------------------------------------------
@@ -397,14 +397,14 @@ def explicit_source(text: str, hard_limit: int = DEFAULT_HARD_LIMIT) -> Explicit
     return ExplicitSource(text, hard_limit=hard_limit)
 
 
-def double(source: WordSource) -> DoubledSource:
+def double(source: WordSource) -> ImageSource:
     """Word with every letter written twice."""
-    return DoubledSource(source, hard_limit=source.hard_limit)
+    return ImageSource(source, "double", hard_limit=source.hard_limit)
 
 
-def complement(source: WordSource) -> ComplementSource:
+def complement(source: WordSource) -> ImageSource:
     """Word with every letter flipped."""
-    return ComplementSource(source, hard_limit=source.hard_limit)
+    return ImageSource(source, "complement", hard_limit=source.hard_limit)
 
 
 # -- factor statistics ---------------------------------------------------------
@@ -432,10 +432,10 @@ class RunBounds:
 def run_bounds(source: WordSource) -> RunBounds:
     """Longest runs of zeros and of ones in the word itself.
 
-    A fixed point's come from its morphisms, a doubling's are twice its inner
-    word's, a complement's are its inner word's swapped, and an explicit
-    word's are its interior runs (each source's ``_runs``).  No prefix
-    estimates them, and the source keeps them after the first call.
+    A fixed point's come from its morphisms, an image's from its inner word's
+    through its substitution (``_longest_runs``), and an explicit word's are
+    its interior runs (each source's ``_runs``).  No prefix estimates them,
+    and the source keeps them after the first call.
     """
     if source._run_bounds is None:
         k0, k1 = source._runs()
@@ -542,9 +542,9 @@ def parse_word_spec(text: str, hard_limit: int = DEFAULT_HARD_LIMIT) -> WordSour
         if not re.fullmatch(r"[01]+", body):
             raise WordSpecError(f"explicit words must be nonempty 0/1 strings: {text!r}")
         return explicit_source(body, hard_limit)
-    for tag, wrap in (("double", double), ("complement", complement)):
+    for tag in SUBSTITUTIONS:
         prefix = tag + "("
         if s.startswith(prefix) and s.endswith(")"):
             inner = parse_word_spec(s[len(prefix) : -1], hard_limit)
-            return wrap(inner)
+            return ImageSource(inner, tag, hard_limit)
     raise WordSpecError(f"unrecognised word spec: {text!r}")

@@ -22,6 +22,7 @@ from permlex import (
     WrongSource,
     audit_map,
     compare_shifts,
+    complement,
     double,
     explicit_source,
     fibonacci_source,
@@ -651,8 +652,13 @@ def test_parity_sets_partition_the_doubled_sets(dtm, dfib):
 
 
 def test_parity_needs_doubled_source(tm):
-    with pytest.raises(WrongSource):
-        perm_set_parity(tm, 8, "even")
+    # Only the outermost substitution decides: a complemented doubling is
+    # refused, a doubled complement is accepted.
+    for word in (tm, complement(double(tm))):
+        with pytest.raises(WrongSource):
+            perm_set_parity(word, 8, "even")
+    flipped = perm_set_parity(double(complement(tm)), 8, "even")
+    assert flipped.count == perm_set_parity(double(tm), 8, "even").count
     with pytest.raises(DomainError):
         perm_set_parity(double(tm), 8, "sideways")
 

@@ -325,8 +325,8 @@ def _naive_run_bounds(source):
     for edge in (0, run_starts.size - 1):
         if lengths[edge] > bounds[int(letters_at[edge])]:
             raise PrefixTooShort(
-                "a run clipped by the prefix boundary exceeds every interior run; "
-                "inspect a longer prefix"
+                f"a run cut by an end of the first {eff} letters of "
+                f"{source.spec_string()} is longer than every interior run of its letter"
             )
     return RunBounds(k0=bounds[0], k1=bounds[1], certified_over=eff)
 
@@ -364,6 +364,7 @@ EXPLICIT_WORDS = st.one_of(
     spec=st.one_of(
         EXPLICIT_WORDS,
         EXPLICIT_WORDS.map("double({})".format),
+        EXPLICIT_WORDS.map("complement({})".format),
         st.tuples(EXPLICIT_WORDS, st.integers(1, 90)),
     ),
     lengths=st.lists(st.integers(0, 90), max_size=4),
@@ -375,14 +376,15 @@ EXPLICIT_WORDS = st.one_of(
 def test_run_bounds_exact_in_any_call_order(spec, lengths):
     # A finite word's bounds are its interior runs over all the letters it
     # gives, which a hard limit may cut, whatever prefixes were read first;
-    # a doubling's are the doubled word's, and its errors name its inner word.
+    # a doubling's or a complement's are those of the wrapped word, and its
+    # errors name its inner word.
     spec, cap = spec if isinstance(spec, tuple) else (spec, words.DEFAULT_HARD_LIMIT)
     shared, fresh = parse_word_spec(spec, cap), parse_word_spec(spec, cap)
     for n in lengths:
         _outcome(lambda: shared.letters(n))
     got = _outcome(lambda: run_bounds(shared))
     want = _outcome(lambda: _naive_run_bounds(fresh))
-    if spec.startswith("double") and isinstance(want, tuple):
+    if spec.startswith(("double", "complement")) and isinstance(want, tuple):
         got, want = got[0], want[0]
     assert got == want
 
